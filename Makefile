@@ -1,6 +1,14 @@
-# Developer entry points; CI runs `make check` and `make check-naive`.
+# Developer entry points.  CI runs `make lint`, `make check`, the three
+# configuration batteries (`make check-naive`, `check-parallel`,
+# `check-pruned`), `make bench-smoke`, the quick experiment harness, and
+# `make soak` / `make soak-failover` in their own jobs.
+#
+# The batteries set the environment spelling of the engine's run
+# configuration (Engine.default_config, read once at start-up): the
+# matcher (CHASE_NAIVE), the domain count (CHASE_DOMAINS) and relevance
+# pruning (CHASE_NO_PRUNE).
 
-.PHONY: all build test check-naive check-parallel check-pruned smoke obs-smoke soak soak-failover lint fmt fmt-ml check clean
+.PHONY: all build test check-naive check-parallel check-pruned smoke obs-smoke bench-smoke soak soak-failover lint fmt fmt-ml check clean
 
 all: build
 
@@ -27,6 +35,12 @@ check-parallel:
 # skips provably empty discovery events, so nothing may differ
 check-pruned:
 	CHASE_NO_PRUNE=1 dune runtest --force
+
+# the repository benchmark at tiny sizes: builds the harness against the
+# current lib/ and bin/ (so an API change that breaks it fails here) and
+# checks that every workload prints the metrics BENCHMARK.json names
+bench-smoke:
+	python3 perfbench/run.py --smoke
 
 # quick confidence: the CLI cram suite only (builds both binaries,
 # exercises parsing, the chase, limits/timeout degradation and reports)

@@ -72,7 +72,7 @@ let pp_time fm s =
 let oracle ?(budget = 20_000) variant rules =
   let crit = Critical.of_rules ~standard:false rules in
   let config =
-    { Engine.variant; limits = Limits.of_budget budget }
+    { Engine.default_config with variant; limits = Limits.of_budget budget }
   in
   (Engine.run ~config rules (Instance.to_list crit)).Engine.status
   = Engine.Terminated
@@ -355,7 +355,7 @@ let e6 seeds =
         in
         let config =
           {
-            Engine.variant = Variant.Semi_oblivious;
+            Engine.default_config with variant = Variant.Semi_oblivious;
             limits = Limits.make ~max_triggers:50_000 ~max_atoms:200_000 ();
           }
         in
@@ -402,7 +402,7 @@ let e7 seeds =
       let looped = (Looping.apply sigma ~target).Looping.rules in
       let config =
         {
-          Engine.variant = Variant.Semi_oblivious;
+          Engine.default_config with variant = Variant.Semi_oblivious;
           limits = Limits.make ~max_triggers:20_000 ~max_atoms:80_000 ();
         }
       in
@@ -426,7 +426,7 @@ let e8 () =
   let cell rules variant =
     let generic = Critical.generic_of_rules rules in
     let config =
-      { Engine.variant; limits = Limits.make ~max_triggers:20_000 ~max_atoms:80_000 () }
+      { Engine.default_config with variant; limits = Limits.make ~max_triggers:20_000 ~max_atoms:80_000 () }
     in
     match (Engine.run ~config rules (Instance.to_list generic)).Engine.status with
     | Engine.Terminated -> "term"
@@ -529,7 +529,7 @@ let e11 kills =
          (List.init 9 (fun i -> Fmt.str "e(a%d, a%d)." i (i + 1))))
   in
   let config =
-    { Engine.variant = Variant.Oblivious; limits = Limits.of_budget 10_000 }
+    { Engine.default_config with variant = Variant.Oblivious; limits = Limits.of_budget 10_000 }
   in
   let baseline = Engine.run ~config rules db in
   let journal =
@@ -586,11 +586,6 @@ let e11 kills =
 
 let e12 quick =
   section "E12  Join planning: planned vs naive matcher (speedup + agreement)";
-  let with_matcher m f =
-    let saved = Hom.matcher () in
-    Hom.set_matcher m;
-    Fun.protect ~finally:(fun () -> Hom.set_matcher saved) f
-  in
   let same_run a b =
     a.Engine.triggers_applied = b.Engine.triggers_applied
     && a.Engine.triggers_skipped = b.Engine.triggers_skipped
@@ -614,7 +609,7 @@ let e12 quick =
       let db = Families.wide_body_db ~hubs ~fanout:3 in
       let config =
         {
-          Engine.variant = Variant.Oblivious;
+          Engine.default_config with variant = Variant.Oblivious;
           limits = Limits.make ~max_triggers:200_000 ~max_atoms:800_000 ();
         }
       in
@@ -622,16 +617,16 @@ let e12 quick =
       (* [time] also diffs the always-on matcher counters: candidate
          facts examined is the machine-independent cost the wall-clock
          speedup should track. *)
-      let time m =
-        with_matcher m (fun () ->
-            let s0 = Hom.Stats.snapshot () in
-            let t =
-              time_avg ~reps:1 (fun () ->
-                  let r = Engine.run ~config rules db in
-                  last := Some r;
-                  r)
-            in
-            (t, Hom.Stats.diff s0 (Hom.Stats.snapshot ())))
+      let time matcher =
+        let config = { config with matcher } in
+        let s0 = Hom.Stats.snapshot () in
+        let t =
+          time_avg ~reps:1 (fun () ->
+              let r = Engine.run ~config rules db in
+              last := Some r;
+              r)
+        in
+        (t, Hom.Stats.diff s0 (Hom.Stats.snapshot ()))
       in
       let t_naive, s_naive = time Hom.Naive in
       let r_naive = Option.get !last in
@@ -671,12 +666,12 @@ let e12 quick =
     let db = Instance.to_list (Critical.of_rules ~standard:false rules) in
     let config =
       {
-        Engine.variant = Variant.Semi_oblivious;
+        Engine.default_config with variant = Variant.Semi_oblivious;
         limits = Limits.make ~max_triggers:4_000 ~max_atoms:16_000 ();
       }
     in
-    let rn = with_matcher Hom.Naive (fun () -> Engine.run ~config rules db) in
-    let rp = with_matcher Hom.Planned (fun () -> Engine.run ~config rules db) in
+    let rn = Engine.run ~config:{ config with matcher = Hom.Naive } rules db in
+    let rp = Engine.run ~config:{ config with matcher = Hom.Planned } rules db in
     if same_run rn rp then incr agree
   done;
   Fmt.pr "@.wide-body minimum speedup: %.2fx (agreement on all widths: %b)@."
@@ -698,7 +693,7 @@ let e13 quick =
   let db = Instance.to_list (Critical.of_rules tower) in
   let config =
     {
-      Engine.variant = Variant.Semi_oblivious;
+      Engine.default_config with variant = Variant.Semi_oblivious;
       limits = Limits.make ~max_triggers:10_000 ~max_atoms:40_000 ();
     }
   in
@@ -1010,7 +1005,7 @@ let e15 quick =
   let db = Families.wide_body_db ~hubs ~fanout:3 in
   let config =
     {
-      Engine.variant = Variant.Oblivious;
+      Engine.default_config with variant = Variant.Oblivious;
       limits = Limits.make ~max_triggers:200_000 ~max_atoms:800_000 ();
     }
   in
@@ -1024,7 +1019,7 @@ let e15 quick =
       let last = ref None in
       let t =
         wall_avg (fun () ->
-            let r = Engine.run ~config ~domains rules db in
+            let r = Engine.run ~config:{ config with domains } rules db in
             last := Some r;
             r)
       in
@@ -1048,7 +1043,7 @@ let e15 quick =
   (* The parallel plane's own telemetry on an observed 4-domain run:
      achieved parallelism (busy/wall) and the merge-latency histogram. *)
   let obs = Obs.create [] in
-  ignore (Engine.run ~config ~obs ~domains:4 rules db);
+  ignore (Engine.run ~config:{ config with domains = 4 } ~obs rules db);
   let m = Obs.metrics obs in
   (match Metrics.gauge_value m "chase.parallel.parallelism" with
   | Some p ->
@@ -1079,12 +1074,12 @@ let e15 quick =
     let db = Instance.to_list (Critical.of_rules ~standard:false rules) in
     let config =
       {
-        Engine.variant = Variant.Semi_oblivious;
+        Engine.default_config with variant = Variant.Semi_oblivious;
         limits = Limits.make ~max_triggers:4_000 ~max_atoms:16_000 ();
       }
     in
-    let r1 = Engine.run ~config ~domains:1 rules db in
-    let r4 = Engine.run ~config ~domains:4 rules db in
+    let r1 = Engine.run ~config:{ config with domains = 1 } rules db in
+    let r4 = Engine.run ~config:{ config with domains = 4 } rules db in
     if same_run r1 r4 then incr agree
   done;
   Fmt.pr "random guarded sets, parallel ≡ sequential run-for-run: %d/%d@."
@@ -1132,10 +1127,6 @@ let e16 quick =
          (Instance.to_sorted_list a.Engine.instance)
          (Instance.to_sorted_list b.Engine.instance)
   in
-  let without_pruning f =
-    Relevance.force_disable true;
-    Fun.protect ~finally:(fun () -> Relevance.force_disable false) f
-  in
   (* One observed run per leg: chase.prune.considered counts every
      (new fact, rule) pair the delta sweep looked at, enqueues_skipped
      the ones the index proved empty — enqueued = considered - skipped.
@@ -1159,11 +1150,10 @@ let e16 quick =
           r)
     in
     let t_off =
-      without_pruning (fun () ->
-          wall_avg (fun () ->
-              let r, c, s = observed ~config rules db in
-              off := Some (r, c, s);
-              r))
+      wall_avg (fun () ->
+          let r, c, s = observed ~config:{ config with prune = false } rules db in
+          off := Some (r, c, s);
+          r)
     in
     let r1, c1, s1 = Option.get !on in
     let r0, c0, _ = Option.get !off in
@@ -1196,7 +1186,7 @@ let e16 quick =
     chain
     (Instance.to_list (Critical.of_rules ~standard:false chain))
     {
-      Engine.variant = Variant.Oblivious;
+      Engine.default_config with variant = Variant.Oblivious;
       limits = Limits.of_budget 100_000;
     };
   (* The E12/E15 star join: a single wide rule, but the out-facts it
@@ -1207,7 +1197,7 @@ let e16 quick =
     (Families.wide_body ~width)
     (Families.wide_body_db ~hubs ~fanout:3)
     {
-      Engine.variant = Variant.Oblivious;
+      Engine.default_config with variant = Variant.Oblivious;
       limits = Limits.make ~max_triggers:200_000 ~max_atoms:800_000 ();
     };
   (* The shipped corpus, rules + database, including a divergent file
@@ -1225,7 +1215,7 @@ let e16 quick =
         in
         bench (Filename.remove_extension file) rules db
           {
-            Engine.variant = Variant.Semi_oblivious;
+            Engine.default_config with variant = Variant.Semi_oblivious;
             limits = Limits.of_budget budget;
           })
     [
@@ -1390,7 +1380,7 @@ let microbenches () =
              Engine.run
                ~config:
                  {
-                   Engine.variant = Variant.Semi_oblivious;
+                   Engine.default_config with variant = Variant.Semi_oblivious;
                    limits = Limits.make ~max_triggers:10_000 ~max_atoms:40_000 ();
                  }
                tower tower_db));

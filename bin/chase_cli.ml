@@ -37,39 +37,20 @@
 open Cmdliner
 open Chase
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-  with Sys_error msg -> Error msg
-
-let variant_conv =
-  let parse s =
-    match Variant.of_string s with
-    | Some v -> Ok v
-    | None -> Error (`Msg (Fmt.str "unknown chase variant %S" s))
-  in
-  Arg.conv (parse, Variant.pp)
-
 (* The whole run lives in {!Chase.Driver.chase}, shared byte-for-byte
    with the service daemon; this executable only parses argv and reads
    the file. *)
 let run file variant budget max_atoms timeout progress critical standard quiet
-    naive no_prune domains journal snapshot_every journal_sync resume lint
-    trace metrics flight profile =
-  if naive then Hom.set_matcher Hom.Naive;
+    engine journal snapshot_every journal_sync resume lint trace metrics flight
+    profile =
   (match flight with Some _ as path -> Flight.configure ~path | None -> ());
-  if no_prune then Relevance.force_disable true;
-  Option.iter Parallel.set_domains domains;
-  match read_file file with
+  match Fsutil.read_file file with
   | Error msg ->
     Fmt.epr "error: cannot read input: %s@." msg;
     1
   | Ok src ->
     let o =
-      Driver.chase_opts ~variant ~budget ~max_atoms ?timeout ~progress
+      Driver.chase_opts ~engine ~variant ~budget ~max_atoms ?timeout ~progress
         ~critical ~standard ~quiet ?journal ~snapshot_every ~journal_sync
         ?resume ~lint ?trace ?metrics ~profile ()
     in
@@ -81,7 +62,7 @@ let file_arg =
        ~doc:"Program file with rules (body -> head.) and facts (p(a,b).)")
 
 let variant_arg =
-  Arg.(value & opt variant_conv Variant.Oblivious
+  Arg.(value & opt Cli.variant_conv Variant.Oblivious
        & info [ "v"; "variant" ] ~docv:"VARIANT"
            ~doc:"Chase variant: oblivious, semi-oblivious or restricted.")
 
@@ -122,39 +103,6 @@ let standard_arg =
 
 let quiet_arg =
   Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Only print run statistics.")
-
-let naive_arg =
-  Arg.(value & flag
-       & info [ "naive" ]
-           ~doc:"Use the naive left-to-right body matcher (the reference \
-                 semantics) instead of the join-planned one.  Equivalent \
-                 to setting CHASE_NAIVE=1.")
-
-let no_prune_arg =
-  Arg.(value & flag
-       & info [ "no-prune" ]
-           ~doc:"Disable the static trigger-relevance index: sweep every \
-                 rule on every added fact, as the engine did before \
-                 pruning.  Bit-identical to the pruned run (the index \
-                 only skips provably empty matches).  Equivalent to \
-                 setting CHASE_NO_PRUNE=1.")
-
-let domains_conv =
-  let parse s =
-    match Parallel.parse_domains s with
-    | Ok d -> Ok d
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, Fmt.int)
-
-let domains_arg =
-  Arg.(value & opt (some domains_conv) None
-       & info [ "domains" ] ~docv:"N"
-           ~doc:"Fan trigger discovery across $(docv) domains (OCaml \
-                 multicore).  The chase sequence, printed instance and \
-                 journal bytes are bit-identical to a single-domain run; \
-                 only wall-clock changes.  Equivalent to setting \
-                 CHASE_DOMAINS=$(docv); default 1.")
 
 let journal_arg =
   Arg.(value & opt (some string) None
@@ -229,7 +177,7 @@ let cmd =
     Cmdliner.Term.(
       const run $ file_arg $ variant_arg $ budget_arg $ max_atoms_arg
       $ timeout_arg $ progress_arg $ critical_arg $ standard_arg $ quiet_arg
-      $ naive_arg $ no_prune_arg $ domains_arg $ journal_arg $ snapshot_every_arg
+      $ Cli.engine () $ journal_arg $ snapshot_every_arg
       $ journal_sync_arg $ resume_arg $ lint_arg $ trace_arg $ metrics_arg
       $ flight_arg $ profile_arg)
 

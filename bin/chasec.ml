@@ -30,14 +30,6 @@
 open Cmdliner
 open Chase
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-  with Sys_error msg -> Error msg
-
 let print_result verbose (r : Proto.result) =
   print_string r.Proto.stdout;
   prerr_string r.Proto.stderr;
@@ -59,7 +51,7 @@ let run socket servers op_s file variant budget timeout quiet durable
   | Some op -> (
     let program =
       match (file, op) with
-      | Some f, _ -> read_file f
+      | Some f, _ -> Fsutil.read_file f
       | ( None,
           ( Proto.Ping | Proto.Stats | Proto.Telemetry | Proto.Shutdown
           | Proto.Promote ) ) ->

@@ -23,22 +23,6 @@
 open Cmdliner
 open Chase
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-  with Sys_error msg -> Error msg
-
-let variant_conv =
-  let parse s =
-    match Variant.of_string s with
-    | Some v -> Ok v
-    | None -> Error (`Msg (Fmt.str "unknown chase variant %S" s))
-  in
-  Arg.conv (parse, Variant.pp)
-
 let format_conv =
   let parse = function
     | "human" -> Ok Driver.Human
@@ -53,21 +37,23 @@ let format_conv =
 
 (* The lint run lives in {!Chase.Driver.lint_one}, shared byte-for-byte
    with the service daemon. *)
-let lint_file ~format ~explain ~analyze ~standard ~budget file =
-  match read_file file with
+let lint_file ~engine ~format ~explain ~analyze ~standard ~budget file =
+  match Fsutil.read_file file with
   | Error msg ->
     Fmt.epr "error: cannot read input: %s@." msg;
     2
   | Ok src ->
-    let o = Driver.lint_opts ~format ~explain ~analyze ~budget ~standard () in
+    let o =
+      Driver.lint_opts ~engine ~format ~explain ~analyze ~budget ~standard ()
+    in
     Driver.lint_one o ~file ~src ~out:Format.std_formatter
       ~err:Format.err_formatter
 
-let run files format explain analyze budget standard naive =
-  if naive then Hom.set_matcher Hom.Naive;
+let run files format explain analyze budget standard engine =
   List.fold_left
     (fun acc file ->
-      max acc (lint_file ~format ~explain ~analyze ~standard ~budget file))
+      max acc
+        (lint_file ~engine ~format ~explain ~analyze ~standard ~budget file))
     0 files
 
 let files_arg =
@@ -81,7 +67,7 @@ let format_arg =
                  (one object per file, witnesses included).")
 
 let explain_arg =
-  Arg.(value & opt_all variant_conv []
+  Arg.(value & opt_all Cli.variant_conv []
        & info [ "e"; "explain" ] ~docv:"VARIANT"
            ~doc:"Also run the termination front door for this chase \
                  variant (oblivious, semi-oblivious or restricted; \
@@ -108,18 +94,13 @@ let standard_arg =
            ~doc:"Explain over standard databases (constants 0 and 1 \
                  available).")
 
-let naive_arg =
-  Arg.(value & flag
-       & info [ "naive" ]
-           ~doc:"Use the naive left-to-right body matcher for the explain \
-                 battery.  Equivalent to setting CHASE_NAIVE=1.")
-
 let cmd =
   let doc = "static diagnostics for TGD rule sets, with witnesses" in
   Cmd.v
     (Cmd.info "chase-lint" ~doc)
     Cmdliner.Term.(
       const run $ files_arg $ format_arg $ explain_arg $ analyze_arg
-      $ budget_arg $ standard_arg $ naive_arg)
+      $ budget_arg $ standard_arg
+      $ Cli.engine ~with_no_prune:false ~with_domains:false ())
 
 let () = exit (Cmd.eval' cmd)

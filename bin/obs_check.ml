@@ -22,13 +22,7 @@ module Jsonv = Chase.Jsonv
 
 let fail fmt = Format.kasprintf (fun msg -> Error msg) fmt
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-  with Sys_error msg -> Error msg
+let read_file = Chase.Fsutil.read_file
 
 (* One trace event: name/ph/ts present and of the right shape; returns
    [ph] so the caller can stack-balance B against E. *)

@@ -27,37 +27,19 @@
 open Cmdliner
 open Chase
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-  with Sys_error msg -> Error msg
-
-let variant_conv =
-  let parse s =
-    match Variant.of_string s with
-    | Some v -> Ok v
-    | None -> Error (`Msg (Fmt.str "unknown chase variant %S" s))
-  in
-  Arg.conv (parse, Variant.pp)
-
 (* The whole run lives in {!Chase.Driver.decide}, shared byte-for-byte
    with the service daemon; this executable only parses argv and reads
    the file. *)
-let run file variant budget standard timeout progress naive no_prune domains
-    report lint trace metrics profile =
-  if naive then Hom.set_matcher Hom.Naive;
-  if no_prune then Relevance.force_disable true;
-  Option.iter Parallel.set_domains domains;
-  match read_file file with
+let run file variant budget standard timeout progress engine report lint trace
+    metrics profile =
+  match Fsutil.read_file file with
   | Error msg ->
     Fmt.epr "error: cannot read input: %s@." msg;
     1
   | Ok src ->
     let o =
-      Driver.decide_opts ~variant ~budget ~standard ?timeout ~progress ~report
+      Driver.decide_opts ~engine ~variant ~budget ~standard ?timeout ~progress
+        ~report
         ~lint ?trace ?metrics ~profile ()
     in
     Driver.decide o ~file ~src ~out:Format.std_formatter
@@ -68,7 +50,7 @@ let file_arg =
        ~doc:"Rule file (one 'body -> head.' per statement).")
 
 let variant_arg =
-  Arg.(value & opt variant_conv Variant.Semi_oblivious
+  Arg.(value & opt Cli.variant_conv Variant.Semi_oblivious
        & info [ "v"; "variant" ] ~docv:"VARIANT"
            ~doc:"Chase variant: oblivious, semi-oblivious or restricted.")
 
@@ -95,37 +77,6 @@ let progress_arg =
        & info [ "progress" ]
            ~doc:"Stream periodic watchdog snapshots of the chase \
                  simulation on stderr.")
-
-let naive_arg =
-  Arg.(value & flag
-       & info [ "naive" ]
-           ~doc:"Use the naive left-to-right body matcher (the reference \
-                 semantics) for every budgeted chase instead of the \
-                 join-planned one.  Equivalent to setting CHASE_NAIVE=1.")
-
-let no_prune_arg =
-  Arg.(value & flag
-       & info [ "no-prune" ]
-           ~doc:"Disable the static trigger-relevance index in every \
-                 budgeted chase.  Bit-identical to the pruned run.  \
-                 Equivalent to setting CHASE_NO_PRUNE=1.")
-
-let domains_conv =
-  let parse s =
-    match Parallel.parse_domains s with
-    | Ok d -> Ok d
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, Fmt.int)
-
-let domains_arg =
-  Arg.(value & opt (some domains_conv) None
-       & info [ "domains" ] ~docv:"N"
-           ~doc:"Fan the budgeted chases' trigger discovery across $(docv) \
-                 domains (OCaml multicore).  Verdicts and diagnostics are \
-                 bit-identical to a single-domain run; only wall-clock \
-                 changes.  Equivalent to setting CHASE_DOMAINS=$(docv); \
-                 default 1.")
 
 let report_arg =
   Arg.(value & flag
@@ -165,7 +116,7 @@ let cmd =
     (Cmd.info "chase-termination" ~doc)
     Cmdliner.Term.(
       const run $ file_arg $ variant_arg $ budget_arg $ standard_arg
-      $ timeout_arg $ progress_arg $ naive_arg $ no_prune_arg $ domains_arg
+      $ timeout_arg $ progress_arg $ Cli.engine ()
       $ report_arg $ lint_arg $ trace_arg $ metrics_arg $ profile_arg)
 
 let () = exit (Cmd.eval' cmd)

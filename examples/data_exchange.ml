@@ -43,7 +43,7 @@ let () =
   section "Universal solution (restricted chase)";
   let config =
     {
-      Engine.variant = Variant.Restricted;
+      Engine.default_config with variant = Variant.Restricted;
       limits = Limits.make ~max_triggers:10_000 ~max_atoms:10_000 ();
     }
   in
@@ -118,7 +118,7 @@ let () =
     Engine.run
       ~config:
         {
-          Engine.variant = Variant.Oblivious;
+          Engine.default_config with variant = Variant.Oblivious;
           limits = Limits.make ~max_triggers:10_000 ~max_atoms:10_000 ();
         }
       mapping source

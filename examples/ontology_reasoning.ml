@@ -72,7 +72,7 @@ let () =
     Engine.run
       ~config:
         {
-          Engine.variant = Variant.Restricted;
+          Engine.default_config with variant = Variant.Restricted;
           limits = Limits.make ~max_triggers:10_000 ~max_atoms:10_000 ();
         }
       repaired abox

@@ -20,7 +20,7 @@ let section_1 () =
   let seq, result =
     Sequence.record
       ~config:
-        { Engine.variant = Variant.Oblivious;
+        { Engine.default_config with variant = Variant.Oblivious;
           limits = Limits.make ~max_triggers:3 ~max_atoms:50 () }
       ~variant:Variant.Oblivious rules db
   in
@@ -37,7 +37,7 @@ let section_2 () =
   let seq, _ =
     Sequence.record
       ~config:
-        { Engine.variant = Variant.Oblivious;
+        { Engine.default_config with variant = Variant.Oblivious;
           limits = Limits.make ~max_triggers:4 ~max_atoms:50 () }
       ~variant:Variant.Oblivious rules db
   in
@@ -100,7 +100,7 @@ let section_3_lower_bounds () =
   let result =
     Engine.run
       ~config:
-        { Engine.variant = Variant.Semi_oblivious;
+        { Engine.default_config with variant = Variant.Semi_oblivious;
           limits = Limits.make ~max_triggers:200 ~max_atoms:1000 () }
       looped db
   in
@@ -118,14 +118,14 @@ let section_4 () =
   let restricted =
     Engine.run
       ~config:
-        { Engine.variant = Variant.Restricted;
+        { Engine.default_config with variant = Variant.Restricted;
           limits = Limits.make ~max_triggers:1000 ~max_atoms:4000 () }
       rules db
   in
   let oblivious =
     Engine.run
       ~config:
-        { Engine.variant = Variant.Oblivious;
+        { Engine.default_config with variant = Variant.Oblivious;
           limits = Limits.make ~max_triggers:1000 ~max_atoms:4000 () }
       rules db
   in

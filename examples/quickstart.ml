@@ -15,7 +15,7 @@ let () =
   let db = Parser.parse_database_exn "person(bob)." in
   (* The chase is infinite; run a bounded prefix and look at it. *)
   let config =
-    { Engine.variant = Variant.Oblivious;
+    { Engine.default_config with variant = Variant.Oblivious;
       limits = Limits.make ~max_triggers:4 ~max_atoms:100 () }
   in
   let result = Engine.run ~config rules db in

@@ -22,7 +22,7 @@ let restricted_cell rules =
   let generic = Critical.generic_of_rules rules in
   let config =
     {
-      Engine.variant = Variant.Restricted;
+      Engine.default_config with variant = Variant.Restricted;
       limits = Limits.make ~max_triggers:20_000 ~max_atoms:80_000 ();
     }
   in

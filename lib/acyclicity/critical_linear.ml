@@ -607,12 +607,13 @@ let default_constants ~standard rules =
    cross-check against the ground truth — the actual ?-chase of the
    critical instance — and degrade honestly to [Inconclusive] if that
    chase does not close within the sanity budget. *)
-let sanity_terminates ~variant ~constants ~budget rules =
+let sanity_terminates ~config ~variant ~constants ~budget rules =
   let crit =
     Chase_engine.Critical.of_rules ~constants rules
   in
   let config =
     {
+      config with
       Chase_engine.Engine.variant;
       limits = Chase_engine.Limits.of_budget budget;
     }
@@ -623,8 +624,8 @@ let sanity_terminates ~variant ~constants ~budget rules =
   in
   r.Chase_engine.Engine.status = Chase_engine.Engine.Terminated
 
-let check_with ~variant ~semi ~find ?(standard = true) ?(sanity_budget = 50_000)
-    rules =
+let check_with ~variant ~semi ~find ?(config = Chase_engine.Engine.default_config)
+    ?(standard = true) ?(sanity_budget = 50_000) rules =
   ignore semi;
   require_linear rules;
   let constants = default_constants ~standard rules in
@@ -632,7 +633,8 @@ let check_with ~variant ~semi ~find ?(standard = true) ?(sanity_budget = 50_000)
   match find rules reachable with
   | Some cert -> Non_terminating cert
   | None ->
-    if sanity_terminates ~variant ~constants ~budget:sanity_budget rules then
+    if sanity_terminates ~config ~variant ~constants ~budget:sanity_budget rules
+    then
       Terminating
     else
       Inconclusive
@@ -643,15 +645,15 @@ let check_with ~variant ~semi ~find ?(standard = true) ?(sanity_budget = 50_000)
 
 (** Critical rich acyclicity: oblivious-chase termination for linear TGDs
     (reconstruction of Theorem 2, oblivious side). *)
-let check_oblivious ?standard ?sanity_budget rules =
+let check_oblivious ?config ?standard ?sanity_budget rules =
   check_with ~variant:Chase_engine.Variant.Oblivious ~semi:false
-    ~find:find_oblivious_pump ?standard ?sanity_budget rules
+    ~find:find_oblivious_pump ?config ?standard ?sanity_budget rules
 
 (** Critical weak acyclicity: semi-oblivious-chase termination for linear
     TGDs (reconstruction of Theorem 2, semi-oblivious side). *)
-let check_semi_oblivious ?standard ?sanity_budget rules =
+let check_semi_oblivious ?config ?standard ?sanity_budget rules =
   check_with ~variant:Chase_engine.Variant.Semi_oblivious ~semi:true
-    ~find:find_semi_oblivious_pump ?standard ?sanity_budget rules
+    ~find:find_semi_oblivious_pump ?config ?standard ?sanity_budget rules
 
 let terminates ?standard ~variant rules =
   match (variant : Chase_engine.Variant.t) with

@@ -82,16 +82,22 @@ type verdict =
           shape on this input (reported honestly instead of answering
           "terminating") *)
 
-val check_oblivious : ?standard:bool -> ?sanity_budget:int -> Tgd.t list -> verdict
+type check :=
+  ?config:Chase_engine.Engine.config ->
+  ?standard:bool ->
+  ?sanity_budget:int ->
+  Tgd.t list ->
+  verdict
+
+val check_oblivious : check
 (** Critical rich acyclicity — oblivious-chase termination for linear
     TGDs.  [standard] (default true) includes the constants 0, 1.
     Divergence answers carry a concretely confirmed pump; termination
     answers are cross-checked against the actual chase of the critical
-    instance (budget [sanity_budget], default 50_000).
+    instance (budget [sanity_budget], default 50_000) under [config].
     @raise Invalid_argument if the set is not linear. *)
 
-val check_semi_oblivious :
-  ?standard:bool -> ?sanity_budget:int -> Tgd.t list -> verdict
+val check_semi_oblivious : check
 (** Critical weak acyclicity — semi-oblivious-chase termination for
     linear TGDs. *)
 

@@ -10,12 +10,13 @@
     exist for any database, so the semi-oblivious chase terminates
     universally:  WA ⊆ JA ⊆ MFA ⊆ CT^so.
 
-    Instead of materializing skolem terms we run our own engine on the
-    critical instance and annotate every null with the {e set} of function
-    symbols occurring in its term tree: the union of the symbol sets of
-    the frontier nulls it was built from, plus its own creating symbol
-    (rule index, existential variable).  A null is cyclic exactly when its
-    creating symbol already occurs among its ancestors' symbols.
+    Instead of materializing skolem terms we run the semi-oblivious chase
+    engine on the critical instance and annotate every null with the
+    {e set} of function symbols occurring in its term tree: the union of
+    the symbol sets of the frontier nulls it was built from, plus its own
+    creating symbol (rule index, existential variable).  A null is cyclic
+    exactly when its creating symbol already occurs among its ancestors'
+    symbols; the first one found cancels the run.
 
     Checking MFA is itself 2EXPTIME-complete; the chase we run is the
     definition's chase, but we keep a trigger budget as an engineering
@@ -37,36 +38,11 @@ end)
 
 let default_budget = 100_000
 
-let check ?(standard = false) ?(budget = default_budget) rules =
-  let rules_arr = Array.of_list rules in
+let check ?(config = Chase_engine.Engine.default_config) ?(standard = false)
+    ?(budget = default_budget) rules =
+  let module Engine = Chase_engine.Engine in
   let crit = Chase_engine.Critical.of_rules ~standard rules in
-  let instance = Instance.create () in
-  Instance.iter (fun a -> ignore (Instance.add instance a)) crit;
-  (* symbol sets of nulls *)
   let symbols_of_null : (int, Sym_set.t) Hashtbl.t = Hashtbl.create 256 in
-  let null_counter = ref 0 in
-  let seen = Hashtbl.create 1024 in
-  let queue = Queue.create () in
-  let cyclic = ref None in
-  let triggers = ref 0 in
-  let key rule_idx sub =
-    (rule_idx, Subst.to_list (Subst.restrict sub (Tgd.frontier rules_arr.(rule_idx))))
-  in
-  let enqueue rule_idx sub =
-    let k = key rule_idx sub in
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.add seen k ();
-      Queue.add (rule_idx, sub) queue
-    end
-  in
-  let enqueue_all_for i =
-    Hom.iter instance (Tgd.body rules_arr.(i)) (fun sub -> enqueue i sub)
-  in
-  let enqueue_seeded_for i seed =
-    Hom.iter_seeded instance (Tgd.body rules_arr.(i)) ~seed (fun sub ->
-        enqueue i sub)
-  in
-  Array.iteri (fun i _ -> enqueue_all_for i) rules_arr;
   let inherited_symbols sub frontier =
     Util.Sset.fold
       (fun v acc ->
@@ -78,53 +54,43 @@ let check ?(standard = false) ?(budget = default_budget) rules =
         | Some (Term.Const _) | Some (Term.Var _) | None -> acc)
       frontier Sym_set.empty
   in
-  let apply rule_idx sub =
-    incr triggers;
-    let r = rules_arr.(rule_idx) in
+  let cancel = Chase_engine.Limits.Cancel.create () in
+  let cyclic = ref None in
+  (* The engine invents the nulls of a trigger in ascending existential
+     order; pair each with its creating symbol. *)
+  let on_trigger ~step:_ ~rule_index ~depth:_ ~created_nulls r sub _added =
     let inherited = inherited_symbols sub (Tgd.frontier r) in
-    let sub' = ref sub in
-    Util.Sset.iter
-      (fun z ->
-        let sym = (rule_idx, z) in
-        if Sym_set.mem sym inherited && !cyclic = None then
+    List.iter2
+      (fun z n ->
+        let sym = (rule_index, z) in
+        if Sym_set.mem sym inherited && !cyclic = None then begin
           cyclic :=
             Some
               (Fmt.str
                  "cyclic term: f_(%s,%s) nested within itself under trigger %a \
                   of rule %a"
                  (Tgd.name r) z Subst.pp sub Tgd.pp r);
-        incr null_counter;
-        let n = !null_counter in
-        Hashtbl.replace symbols_of_null n (Sym_set.add sym inherited);
-        sub' := Subst.bind_exn !sub' z (Term.Null n))
-      (Tgd.existentials r);
-    if !cyclic = None then begin
-      let new_atoms =
-        List.filter_map
-          (fun head_atom ->
-            let fact = Subst.apply_atom !sub' head_atom in
-            if Instance.add instance fact then Some fact else None)
-          (Tgd.head r)
-      in
-      List.iter
-        (fun fact -> Array.iteri (fun i _ -> enqueue_seeded_for i fact) rules_arr)
-        new_atoms
-    end
+          Chase_engine.Limits.Cancel.cancel ~reason:"cyclic term" cancel
+        end;
+        Hashtbl.replace symbols_of_null n (Sym_set.add sym inherited))
+      (Util.Sset.elements (Tgd.existentials r))
+      created_nulls
   in
-  let rec loop () =
-    if !cyclic <> None then `Not_mfa (Option.get !cyclic)
-    else if Queue.is_empty queue then `Mfa
-    else if !triggers >= budget then
-      `Unknown (Fmt.str "MFA chase budget of %d triggers exhausted" budget)
-    else begin
-      let rule_idx, sub = Queue.pop queue in
-      apply rule_idx sub;
-      loop ()
-    end
+  let config =
+    {
+      config with
+      Engine.variant = Chase_engine.Variant.Semi_oblivious;
+      limits = Chase_engine.Limits.make ~max_triggers:budget ~cancel ();
+    }
   in
-  loop ()
+  let result = Engine.run ~config ~on_trigger rules (Instance.to_list crit) in
+  match (!cyclic, result.Engine.status) with
+  | Some msg, _ -> `Not_mfa msg
+  | None, Engine.Terminated -> `Mfa
+  | None, Engine.Exhausted _ ->
+    `Unknown (Fmt.str "MFA chase budget of %d triggers exhausted" budget)
 
-let is_mfa ?standard ?budget rules =
-  match check ?standard ?budget rules with
+let is_mfa ?config ?standard ?budget rules =
+  match check ?config ?standard ?budget rules with
   | `Mfa -> true
   | `Not_mfa _ | `Unknown _ -> false

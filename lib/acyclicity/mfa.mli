@@ -12,5 +12,17 @@ type answer =
 
 val default_budget : int
 
-val check : ?standard:bool -> ?budget:int -> Chase_logic.Tgd.t list -> answer
-val is_mfa : ?standard:bool -> ?budget:int -> Chase_logic.Tgd.t list -> bool
+type 'a check :=
+  ?config:Chase_engine.Engine.config ->
+  ?standard:bool ->
+  ?budget:int ->
+  Chase_logic.Tgd.t list ->
+  'a
+
+val check : answer check
+(** One semi-oblivious {!Chase_engine.Engine.run} of the critical
+    instance ([standard], default false, adds 0 and 1) under [config]
+    with its variant and limits replaced: at most [budget] triggers,
+    cancelled at the first cyclic term. *)
+
+val is_mfa : bool check

@@ -88,14 +88,14 @@ let pump_diagnostic lrules rules cert =
 (* The verdict construction mirrors {!Chase_termination.Linear.check}
    (same procedure names and answers); running the critical procedure
    once here yields both the verdict and the certificate. *)
-let linear_explain ~standard ~variant lrules rules =
+let linear_explain ?config ~standard ~variant lrules rules =
   let procedure, outcome =
     match (variant : Variant.t) with
     | Oblivious ->
-      ("critical-rich-acyclicity", Critical_linear.check_oblivious ~standard rules)
+      ("critical-rich-acyclicity", Critical_linear.check_oblivious ?config ~standard rules)
     | Semi_oblivious ->
       ( "critical-weak-acyclicity",
-        Critical_linear.check_semi_oblivious ~standard rules )
+        Critical_linear.check_semi_oblivious ?config ~standard rules )
     | Restricted -> invalid_arg "Explain: restricted is not Theorem 2 territory"
   in
   match outcome with
@@ -124,10 +124,11 @@ let linear_explain ~standard ~variant lrules rules =
 
 (* ---- guarded: recurring cloud type along a guard chain (Theorem 4) ---- *)
 
-let guarded_cause ~standard ~budget ~variant rules =
+let guarded_cause ?(config = Chase_engine.Engine.default_config) ~standard
+    ~budget ~variant rules =
   let open Chase_engine in
   let crit = Critical.of_rules ~standard rules in
-  let config = { Engine.variant; limits = Limits.of_budget budget } in
+  let config = { config with Engine.variant; limits = Limits.of_budget budget } in
   let result = Engine.run ~config rules (Instance.to_list crit) in
   match Chase_termination.Guarded.find_pump result with
   | None -> []
@@ -154,13 +155,14 @@ let guarded_cause ~standard ~budget ~variant rules =
 
 (* ---- the front door ---- *)
 
-let check ?(standard = true) ?(budget = Chase_termination.Guarded.default_budget)
-    ~variant lrules =
+let check ?config ?(standard = true)
+    ?(budget = Chase_termination.Guarded.default_budget) ~variant lrules =
   let rules = List.map fst lrules in
   match (variant : Variant.t) with
   | Restricted ->
     {
-      verdict = Chase_termination.Decide.check ~standard ~budget ~variant rules;
+      verdict =
+        Chase_termination.Decide.check ?config ~standard ~budget ~variant rules;
       diagnostics = [];
     }
   | Oblivious | Semi_oblivious -> (
@@ -172,19 +174,22 @@ let check ?(standard = true) ?(budget = Chase_termination.Guarded.default_budget
         else []
       in
       { verdict; diagnostics }
-    | Classify.Linear -> linear_explain ~standard ~variant lrules rules
+    | Classify.Linear -> linear_explain ?config ~standard ~variant lrules rules
     | Classify.Guarded ->
       let verdict =
-        Chase_termination.Guarded.check ~standard ~budget ~variant rules
+        Chase_termination.Guarded.check ?config ~standard ~budget ~variant
+          rules
       in
       let diagnostics =
         if Verdict.is_diverging verdict then
-          guarded_cause ~standard ~budget ~variant rules
+          guarded_cause ?config ~standard ~budget ~variant rules
         else []
       in
       { verdict; diagnostics }
     | Classify.Unguarded ->
       {
-        verdict = Chase_termination.Decide.check ~standard ~budget ~variant rules;
+        verdict =
+          Chase_termination.Decide.check ?config ~standard ~budget ~variant
+            rules;
         diagnostics = [];
       })

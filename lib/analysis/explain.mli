@@ -33,11 +33,13 @@ type t = {
 }
 
 val check :
+  ?config:Chase_engine.Engine.config ->
   ?standard:bool ->
   ?budget:int ->
   variant:Chase_engine.Variant.t ->
   (Tgd.t * int) list ->
   t
-(** [standard] (default true) includes the constants 0, 1 in the critical
-    instance; [budget] bounds the guarded forest search (default
+(** [config] is the base engine configuration of every chase run, as in
+    {!Chase_termination.Decide.check}; [standard] (default true) includes
+    the constants 0, 1 in the critical instance; [budget] bounds the guarded forest search (default
     {!Chase_termination.Guarded.default_budget}). *)

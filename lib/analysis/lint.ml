@@ -32,7 +32,7 @@ let dedup diags =
       end)
     diags
 
-let analyze ?(explain = []) ?(dataflow = false) ?standard ?budget src =
+let analyze ?(explain = []) ?(dataflow = false) ?config ?standard ?budget src =
   match
     Schema_check.check ~rules:src.rules ~egds:src.egds ~facts:src.facts ()
   with
@@ -55,7 +55,7 @@ let analyze ?(explain = []) ?(dataflow = false) ?standard ?budget src =
     let explained =
       List.map
         (fun variant ->
-          let e = Explain.check ?standard ?budget ~variant src.rules in
+          let e = Explain.check ?config ?standard ?budget ~variant src.rules in
           (e.Explain.diagnostics, (variant, e.Explain.verdict)))
         explain
     in

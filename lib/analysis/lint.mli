@@ -35,6 +35,7 @@ type report = {
 val analyze :
   ?explain:Chase_engine.Variant.t list ->
   ?dataflow:bool ->
+  ?config:Chase_engine.Engine.config ->
   ?standard:bool ->
   ?budget:int ->
   source ->
@@ -42,8 +43,8 @@ val analyze :
 (** Run the default battery, plus the explain battery for each variant in
     [explain] (default none), plus — when [dataflow] (default false) —
     the Σ-flow analyze battery ([I034]/[I035] and the
-    {!field-report.analysis} summary).  [standard]/[budget] parameterize
-    the explain battery as in {!Explain.check}. *)
+    {!field-report.analysis} summary).  [config]/[standard]/[budget]
+    parameterize the explain battery as in {!Explain.check}. *)
 
 val errors : report -> int
 val warnings : report -> int

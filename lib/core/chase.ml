@@ -3,7 +3,8 @@
     One-stop re-export of the public API.  The sub-libraries group as:
 
     - logic substrate: {!Term}, {!Atom}, {!Subst}, {!Instance}, {!Hom},
-      {!Plan}, {!Tgd}, {!Schema}, {!Pattern}, {!Parser};
+      {!Plan}, {!Tgd}, {!Schema}, {!Pattern}, {!Parser}, {!Run_env},
+      {!Scc};
     - chase engine: {!Variant}, {!Engine}, {!Parallel}, {!Limits},
       {!Watchdog}, {!Faults}, {!Critical}, {!Derivation};
     - observability: {!Obs}, {!Metrics}, {!Sink}, {!Jsonv}, {!Profile},
@@ -48,6 +49,8 @@ module Parser = Chase_logic.Parser
 module Query = Chase_logic.Query
 module Egd = Chase_logic.Egd
 module Core_model = Chase_logic.Core_model
+module Run_env = Chase_logic.Run_env
+module Scc = Chase_logic.Scc
 
 (* Chase engine *)
 module Variant = Chase_engine.Variant
@@ -77,6 +80,7 @@ module Journal = Chase_persist.Journal
 module Snapshot = Chase_persist.Snapshot
 module Recovery = Chase_persist.Recovery
 module Session = Chase_persist.Session
+module Fsutil = Chase_persist.Fsutil
 
 (* TGD classes *)
 module Classify = Chase_classes.Classify

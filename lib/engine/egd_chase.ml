@@ -42,7 +42,7 @@ type result = {
 (* One EGD saturation pass: rewrite until no violated match remains.
    Returns the (possibly rebuilt) instance and the number of merges, or
    the constant conflict. *)
-let saturate_egds egds instance =
+let saturate_egds ~matcher egds instance =
   let merges = ref 0 in
   let conflict = ref None in
   let rec pass instance =
@@ -52,7 +52,7 @@ let saturate_egds egds instance =
     List.iter
       (fun egd ->
         if !violation = None && !conflict = None then
-          Hom.iter instance (Egd.body egd) (fun sub ->
+          Hom.iter ~matcher instance (Egd.body egd) (fun sub ->
               if !violation = None && !conflict = None then
                 List.iter
                   (fun (x, y) ->
@@ -88,7 +88,8 @@ let saturate_egds egds instance =
 
 let default_config =
   {
-    Engine.variant = Variant.Restricted;
+    Engine.default_config with
+    variant = Variant.Restricted;
     limits = Limits.make ~max_triggers:50_000 ~max_atoms:200_000 ();
   }
 
@@ -115,7 +116,8 @@ let run ?(config = default_config) ?(obs = Chase_obs.Obs.disabled) ~tgds ~egds
     }
   in
   let saturate_egds egds instance =
-    Obs.with_span obs "egd-saturate" (fun () -> saturate_egds egds instance)
+    Obs.with_span obs "egd-saturate" (fun () ->
+        saturate_egds ~matcher:config.Engine.matcher egds instance)
   in
   let rec loop instance =
     incr rounds;

@@ -24,12 +24,23 @@ module Obs = Chase_obs.Obs
 type config = {
   variant : Variant.t;
   limits : Limits.t;  (** resource governance for the run *)
+  matcher : Hom.matcher;  (** body matcher for every search of the run *)
+  domains : int;  (** size of the per-run matching pool; 1 = sequential *)
+  prune : bool;  (** use the static trigger-relevance index *)
 }
 
-let default_config = { variant = Variant.Oblivious; limits = Limits.default }
+let default_config =
+  let env = Run_env.current in
+  {
+    variant = Variant.Oblivious;
+    limits = Limits.default;
+    matcher = Hom.default_matcher;
+    domains = env.Run_env.domains;
+    prune = env.Run_env.prune;
+  }
 
 let config_of_budget ?(variant = Variant.Oblivious) budget =
-  { variant; limits = Limits.of_budget budget }
+  { default_config with variant; limits = Limits.of_budget budget }
 
 type status =
   | Terminated  (** no unapplied trigger remains: the chase result is final *)
@@ -70,6 +81,18 @@ type trigger = {
   t_sub : Subst.t;
 }
 
+(* The trigger-dedup set, keyed by rule index and the variant's key
+   substitution under the structural {!Subst.hash}.  Not polymorphic
+   [Hashtbl.hash]: it stops after a few meaningful words, so keys that
+   differ only in later-sorted variables would collide, and renaming a
+   rule's variables could make dedup quadratic. *)
+module Seen = Hashtbl.Make (struct
+  type t = int * Subst.t
+
+  let equal (r1, s1) (r2, s2) = r1 = r2 && Subst.equal s1 s2
+  let hash (r, s) = Util.hash_combine r (Subst.hash s)
+end)
+
 let key_of_trigger rules variant tr =
   let r = rules.(tr.t_rule) in
   let sub =
@@ -77,7 +100,7 @@ let key_of_trigger rules variant tr =
     | Oblivious | Restricted -> tr.t_sub
     | Semi_oblivious -> Subst.restrict tr.t_sub (Tgd.frontier r)
   in
-  (tr.t_rule, Subst.to_list sub)
+  (tr.t_rule, sub)
 
 (** A restored mid-run state, produced by [Chase_persist.Recovery] from a
     write-ahead journal (plus an optional snapshot).  [run ~resume] picks
@@ -105,7 +128,8 @@ type resume = {
 }
 
 (** [run ?config ?resume ?on_trigger ?watchdog rules db] chases the facts
-    [db] with [rules].
+    [db] with [rules], under the one run configuration [config]: variant,
+    limits, matcher, domain count and pruning.
 
     The input list [db] is not mutated; the result instance is fresh.
     Termination of the run is reported in [status]; when the configured
@@ -130,15 +154,16 @@ type resume = {
     plus per-rule firings/nulls/probes/time breakdowns.  The default
     {!Obs.disabled} reduces every instrumentation point to one flag
     test. *)
-let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
-    ?on_trigger ?watchdog rules db =
+let run ?(config = default_config) ?(obs = Obs.disabled) ?resume ?on_trigger
+    ?watchdog rules db =
   let rules = Array.of_list rules in
+  let matcher = config.matcher in
   (* Static trigger-relevance (DESIGN.md §3.11): the delta sweep only
      visits rules whose bodies could match the added fact.  Skipped
      (rule, fact) events are provably empty, so pruned runs are
-     bit-identical to unpruned ones ([CHASE_NO_PRUNE=1] switches the
+     bit-identical to unpruned ones ([config.prune = false] switches the
      index off; the differential suite compares the two). *)
-  let relevance = Relevance.build rules in
+  let relevance = Relevance.build ~prune:config.prune rules in
   let prune_considered = ref 0 in
   let prune_skipped = ref 0 in
   let sweep fact =
@@ -148,17 +173,14 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
     prune_skipped := !prune_skipped + nr - List.length rel;
     rel
   in
-  let domains =
-    match domains with Some d -> d | None -> Parallel.default_domains ()
-  in
-  if domains < 1 then invalid_arg "Engine.run: domains must be >= 1";
+  if config.domains < 1 then invalid_arg "Engine.run: domains must be >= 1";
   (* The multicore matching plane (DESIGN.md §3.10).  The pool lives for
      exactly one run; [Fun.protect] joins every worker domain on all exit
      paths — normal termination, limit exhaustion, cancellation,
      exceptions — so a governed run never leaks a domain. *)
   let pool =
-    if domains > 1 && Array.length rules > 0 then
-      Some (Parallel.create ~domains)
+    if config.domains > 1 && Array.length rules > 0 then
+      Some (Parallel.create ~domains:config.domains)
     else None
   in
   Fun.protect ~finally:(fun () -> Option.iter Parallel.shutdown pool)
@@ -167,7 +189,7 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
   let instance = Instance.create () in
   List.iter (fun a -> ignore (Instance.add instance a)) db;
   let provenance = Atom.Tbl.create 1024 in
-  let seen = Hashtbl.create 1024 in
+  let seen = Seen.create 1024 in
   let queue = Queue.create () in
   let monitor = Limits.Monitor.start config.limits in
   let firings = Array.make (Array.length rules) 0 in
@@ -203,7 +225,7 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
           let key =
             key_of_trigger rules config.variant { t_rule = i; t_sub = sub }
           in
-          Hashtbl.replace seen key ()
+          Seen.replace seen key ()
         end)
       r.applied);
   let rule_display i =
@@ -228,8 +250,8 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
   let prof_nulls = Array.make prof_n 0 in
   let enqueue tr =
     let key = key_of_trigger rules config.variant tr in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
+    if not (Seen.mem seen key) then begin
+      Seen.add seen key ();
       Queue.add tr queue
     end
   in
@@ -249,7 +271,7 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
     let t0 = if tracked then Obs.now obs else 0. in
     let c0 = if tracked then Hom.Stats.candidates_now () else 0 in
     let acc = ref [] in
-    Hom.iter instance (Tgd.body rules.(i)) (fun sub -> acc := sub :: !acc);
+    Hom.iter ~matcher instance (Tgd.body rules.(i)) (fun sub -> acc := sub :: !acc);
     if tracked then begin
       let dt = Obs.now obs -. t0 in
       prof_match.(i) <- prof_match.(i) +. dt;
@@ -260,7 +282,7 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
   in
   let enqueue_seeded_for_rule i seed =
     let acc = ref [] in
-    Hom.iter_seeded instance (Tgd.body rules.(i)) ~seed (fun sub ->
+    Hom.iter_seeded ~matcher instance (Tgd.body rules.(i)) ~seed (fun sub ->
         acc := sub :: !acc);
     enqueue_found i !acc
   in
@@ -287,7 +309,7 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
           let t0 = Unix.gettimeofday () in
           let c0 = Hom.Stats.local_candidates_now () in
           let acc = ref [] in
-          Hom.iter instance (Tgd.body rules.(i)) (fun sub -> acc := sub :: !acc);
+          Hom.iter ~matcher instance (Tgd.body rules.(i)) (fun sub -> acc := sub :: !acc);
           ( !acc,
             Unix.gettimeofday () -. t0,
             Hom.Stats.local_candidates_now () - c0 ))
@@ -321,8 +343,8 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
         Parallel.map p n (fun e ->
             let i, seed = events.(e) in
             let acc = ref [] in
-            Hom.iter_seeded instance (Tgd.body rules.(i)) ~seed (fun sub ->
-                acc := sub :: !acc);
+            Hom.iter_seeded ~matcher instance (Tgd.body rules.(i)) ~seed
+              (fun sub -> acc := sub :: !acc);
             !acc)
       in
       let m0 = if tracked then Obs.now obs else 0. in
@@ -359,7 +381,8 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
     | None -> 0
   in
   let head_satisfied r sub =
-    Hom.exists ~init:(Subst.restrict sub (Tgd.frontier r)) instance (Tgd.head r)
+    Hom.exists ~matcher ~init:(Subst.restrict sub (Tgd.frontier r)) instance
+      (Tgd.head r)
   in
   let apply tr =
     let t_start = if tracked then Obs.now obs else 0. in
@@ -517,6 +540,9 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
     Obs.set_gauge obs "chase.queue.residual"
       (float_of_int (Queue.length queue));
     Obs.set_gauge obs "chase.max_depth" (float_of_int !max_depth);
+    (* dedup health: the longest collision chain of the trigger set *)
+    Obs.set_gauge obs "chase.dedup.max_chain"
+      (float_of_int (Seen.stats seen).Hashtbl.max_bucket_length);
     List.iter
       (fun (p, _) ->
         Obs.observe obs "chase.instance.bucket_size"

@@ -12,20 +12,31 @@
 
     Every run is governed by a {!Limits.t}; a breached limit degrades
     gracefully to the partial instance plus a structured
-    {!Limits.Exhaustion.reason}. *)
+    {!Limits.Exhaustion.reason}.
+
+    How a run is carried out is one value, {!config}; every procedure
+    that chases takes a base configuration and sets its own variant and
+    limits on it ([{ base with variant; limits }]).  Nothing is
+    process-wide: runs with different configurations may run at once. *)
 
 open Chase_logic
 
 type config = {
   variant : Variant.t;
   limits : Limits.t;  (** resource governance for the run *)
+  matcher : Hom.matcher;  (** body matcher of every search ([--naive]) *)
+  domains : int;  (** matching-pool size, at least 1 ([--domains]) *)
+  prune : bool;  (** use the {!Relevance} index (off: [--no-prune]) *)
 }
 
 val default_config : config
-(** Oblivious, with {!Limits.default} (100k triggers, 200k facts). *)
+(** Oblivious, with {!Limits.default} (100k triggers, 200k facts); the
+    matcher, domains and pruning from the environment as read once by
+    {!Chase_logic.Run_env} (planned, 1, on when unset). *)
 
 val config_of_budget : ?variant:Variant.t -> int -> config
-(** The historical coupling: budget triggers, [4 ×] budget atoms. *)
+(** {!default_config} with the historical coupling: budget triggers,
+    [4 ×] budget atoms. *)
 
 type status =
   | Terminated  (** no unapplied trigger remains: the result is final *)
@@ -80,7 +91,6 @@ type resume = {
 val run :
   ?config:config ->
   ?obs:Chase_obs.Obs.t ->
-  ?domains:int ->
   ?resume:resume ->
   ?on_trigger:
     (step:int ->
@@ -109,17 +119,17 @@ val run :
     telemetry — a [chase] span with per-trigger child spans, periodic
     counter samples, and run-total plus per-rule metrics
     ([chase.rule.firings/nulls/probes/match_s/time_s], labelled by rule
-    display name) into its registry; the default {!Chase_obs.Obs.disabled}
-    reduces every instrumentation point to a flag test.
+    display name, and the trigger-dedup table's longest collision chain
+    [chase.dedup.max_chain]) into its registry; the default
+    {!Chase_obs.Obs.disabled} reduces every instrumentation point to a
+    flag test.
 
-    [domains] selects the multicore matching plane (default
-    {!Parallel.default_domains}, i.e. [1] unless [CHASE_DOMAINS] or
-    {!Parallel.set_domains} says otherwise): with [domains > 1] each
-    step's trigger discovery fans across a {!Parallel} pool and is merged
-    back in canonical event order, so the run — applied sequence, null
-    stamps, journal bytes, verdicts — is bit-identical to [domains = 1];
-    only wall-clock and the [chase.parallel.*] metrics differ.  The pool
-    lives for exactly this run and is joined on every exit path. *)
+    With [config.domains > 1] each step's trigger discovery fans across a
+    {!Parallel} pool, created for this run and joined on every exit
+    path, and is merged back in canonical event order: the run — applied
+    sequence, null stamps, journal bytes, verdicts — is bit-identical to
+    [domains = 1], as it is under either [matcher] and [prune] setting.
+    @raise Invalid_argument when [config.domains < 1]. *)
 
 val depth_of : result -> Atom.t -> int
 (** Chase depth of a fact; database facts have depth 0. *)

@@ -60,9 +60,7 @@ module Writes = struct
   let mu = Mutex.create ()
   let tbl : (string, write_fault list) Hashtbl.t = Hashtbl.create 7
 
-  let locked f =
-    Mutex.lock mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
+  let locked f = Mutex.protect mu f
 
   let arm path faults =
     locked (fun () -> Hashtbl.replace tbl path faults)
@@ -108,6 +106,49 @@ module Parallel_delays = struct
   let delay_for d =
     let a = Atomic.get delays in
     if d >= 0 && d < Array.length a then a.(d) else 0.
+end
+
+(* ------------------------------------------------------------------ *)
+(* Hold points                                                         *)
+(* ------------------------------------------------------------------ *)
+
+module Hold = struct
+  (* armed point name -> whether a thread is parked there *)
+  let parked : (string, bool) Hashtbl.t = Hashtbl.create 4
+  let mu = Mutex.create ()
+  let cond = Condition.create ()
+
+  let locked f = Mutex.protect mu f
+
+  let arm name = locked (fun () -> Hashtbl.replace parked name false)
+
+  let point name =
+    locked (fun () ->
+        if Hashtbl.find_opt parked name = Some false then begin
+          Hashtbl.replace parked name true;
+          while Hashtbl.mem parked name do
+            Condition.wait cond mu
+          done
+        end)
+
+  let await name =
+    let deadline = Unix.gettimeofday () +. 10. in
+    let rec go () =
+      if locked (fun () -> Hashtbl.find_opt parked name = Some true) then true
+      else if Unix.gettimeofday () >= deadline then false
+      else (Unix.sleepf 0.001; go ())
+    in
+    go ()
+
+  let release name =
+    locked (fun () ->
+        Hashtbl.remove parked name;
+        Condition.broadcast cond)
+
+  let reset () =
+    locked (fun () ->
+        Hashtbl.reset parked;
+        Condition.broadcast cond)
 end
 
 (* ------------------------------------------------------------------ *)

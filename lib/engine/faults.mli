@@ -65,6 +65,28 @@ module Parallel_delays : sig
   (** Seconds a given domain must sleep before each claimed event. *)
 end
 
+(** Hold points: deterministic schedules for the control plane.  Code
+    marks a race window with [point name] (a no-op unless armed); after
+    [arm name] the first thread to reach the point parks there until
+    [release name], so a test can drive a request into the window on
+    every run instead of by soak luck.  Thread-safe.  In use:
+    ["standby.promote-ack"], a standby stub connection that has just
+    acknowledged [promote]. *)
+module Hold : sig
+  val arm : string -> unit
+  val point : string -> unit
+
+  val await : string -> bool
+  (** Wait (up to 10 s) until a thread is parked at the named point;
+      false on timeout. *)
+
+  val release : string -> unit
+  (** Let the parked thread go (or disarm a point nobody reached). *)
+
+  val reset : unit -> unit
+  (** Release every parked thread and disarm every point. *)
+end
+
 (** Faults of the request/response plane of the chase service (consumed
     by [Chase_service.Server]): the accept loop really exits, the
     response socket is really closed or throttled mid-write. *)

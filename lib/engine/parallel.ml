@@ -245,7 +245,7 @@ let stats t =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Process-wide domain-count selection                                 *)
+(* Domain-count validation                                             *)
 (* ------------------------------------------------------------------ *)
 
 let parse_domains s =
@@ -253,23 +253,3 @@ let parse_domains s =
   | Some d when d >= 1 -> Ok d
   | Some d -> Error (Printf.sprintf "domain count must be >= 1 (got %d)" d)
   | None -> Error (Printf.sprintf "domain count must be an integer (got %S)" s)
-
-(* Read eagerly, like [Hom.matcher_of_env]: a lazy forced from several
-   domains at once can raise [CamlinternalLazy.Undefined].  The
-   environment is lenient (malformed values mean 1, mirroring
-   [CHASE_NAIVE]'s tolerance); the CLI surfaces use {!parse_domains} and
-   reject malformed input loudly. *)
-let env_domains =
-  match Sys.getenv_opt "CHASE_DOMAINS" with
-  | None -> 1
-  | Some s -> ( match parse_domains s with Ok d -> d | Error _ -> 1)
-
-let forced = Atomic.make 0 (* 0 = no override *)
-
-let set_domains d =
-  if d < 1 then invalid_arg "Parallel.set_domains: domains must be >= 1";
-  Atomic.set forced d
-
-let default_domains () =
-  let f = Atomic.get forced in
-  if f > 0 then f else env_domains

@@ -19,10 +19,10 @@
     entry makes a domain sleep before every event it claims — the
     determinism battery's scheduling perturbation.
 
-    Process-wide selection mirrors the matcher dispatch: the default
-    domain count comes from the [CHASE_DOMAINS] environment variable
-    (like [CHASE_NAIVE]) and can be overridden with {!set_domains} (the
-    CLIs' [--domains]). *)
+    How many domains a chase uses is a field of its run configuration
+    ([Engine.config.domains]: the CLIs' [--domains], or [CHASE_DOMAINS]
+    through [Engine.default_config]); the engine creates a pool of that
+    size per run. *)
 
 type t
 (** A pool of [domains] cooperating domains: the calling domain (index
@@ -73,17 +73,7 @@ val live_domains : unit -> int
     yet joined by {!shutdown} — the leak detector the cancellation tests
     assert against. *)
 
-(** {1 Process-wide domain-count selection} *)
-
-val default_domains : unit -> int
-(** The domain count engine runs use when none is passed explicitly:
-    the value forced by {!set_domains} if any, otherwise the
-    [CHASE_DOMAINS] environment variable ([1] when unset or not a
-    positive integer). *)
-
-val set_domains : int -> unit
-(** Process-wide override, used by the CLIs' [--domains] and the test
-    harness.  Raises [Invalid_argument] below 1. *)
+(** {1 Domain-count validation} *)
 
 val parse_domains : string -> (int, string) result
 (** Strict validation for CLI surfaces: a positive decimal integer. *)

@@ -1,29 +1,18 @@
-(** Static trigger-relevance index (see the interface).  Self-contained:
-    the engine must not depend on the analysis libraries, so the small
-    producer/consumer condensation used for {!seed_order} is local. *)
+(** Static trigger-relevance index (see the interface).  The engine must
+    not depend on the analysis libraries, so the small producer/consumer
+    condensation used for {!seed_order} is built here (over the shared
+    {!Chase_logic.Scc}). *)
 
 open Chase_logic
-
-(* Mirrors [Hom.matcher_of_env]: read eagerly, parallel-safe. *)
-let disabled_by_env =
-  match Sys.getenv_opt "CHASE_NO_PRUNE" with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | Some _ | None -> false
-
-let forced : bool option ref = ref None
-let force_disable b = forced := if b then Some true else None
-
-let disabled_now () =
-  match !forced with Some b -> b | None -> disabled_by_env
 
 type t = {
   rules : Tgd.t array;
   by_pred : (string, (int * Atom.t) list) Hashtbl.t;
       (** predicate → (rule index, body atom) occurrences, ascending *)
-  enabled : bool;  (** captured at build time *)
+  enabled : bool;  (** the [prune] flag given to {!build} *)
 }
 
-let build rules =
+let build ~prune rules =
   let by_pred = Hashtbl.create 64 in
   Array.iteri
     (fun i r ->
@@ -39,10 +28,9 @@ let build rules =
   List.iter
     (fun p -> Hashtbl.replace by_pred p (List.rev (Hashtbl.find by_pred p)))
     keys;
-  { rules; by_pred; enabled = not (disabled_now ()) }
+  { rules; by_pred; enabled = prune }
 
 let enabled t = t.enabled
-let rule_count t = Array.length t.rules
 
 let all_rules t = List.init (Array.length t.rules) Fun.id
 
@@ -68,8 +56,8 @@ let relevant t fact =
 (* ------------------------------------------------------------------ *)
 
 (* Rule i may feed rule j when a head predicate of i occurs in j's body.
-   Condense (Tarjan, iterative-free recursion is fine at rule-set sizes)
-   and emit components producers-first; within a layer, index order. *)
+   Condense and emit components producers-first; within a layer, index
+   order. *)
 let seed_order t =
   let n = Array.length t.rules in
   let succs = Array.make n [] in
@@ -87,44 +75,7 @@ let seed_order t =
         (Tgd.head r);
       succs.(i) <- List.sort_uniq Int.compare !out)
     t.rules;
-  let index = Array.make n (-1)
-  and low = Array.make n 0
-  and on_stack = Array.make n false
-  and stack = ref []
-  and comp = Array.make n (-1)
-  and counter = ref 0
-  and ncomp = ref 0 in
-  let rec strongconnect v =
-    index.(v) <- !counter;
-    low.(v) <- !counter;
-    incr counter;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    List.iter
-      (fun w ->
-        if index.(w) < 0 then begin
-          strongconnect w;
-          low.(v) <- min low.(v) low.(w)
-        end
-        else if on_stack.(w) then low.(v) <- min low.(v) index.(w))
-      succs.(v);
-    if low.(v) = index.(v) then begin
-      let rec pop () =
-        match !stack with
-        | [] -> ()
-        | w :: rest ->
-          stack := rest;
-          on_stack.(w) <- false;
-          comp.(w) <- !ncomp;
-          if w <> v then pop ()
-      in
-      pop ();
-      incr ncomp
-    end
-  in
-  for v = 0 to n - 1 do
-    if index.(v) < 0 then strongconnect v
-  done;
+  let comp, _ = Scc.tarjan n (fun v -> succs.(v)) in
   (* Tarjan numbers sink components first; producers-first is therefore
      descending component number, ties broken by rule index. *)
   let order = Array.init n Fun.id in

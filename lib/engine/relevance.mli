@@ -11,23 +11,21 @@
     provably empty, which keeps pruned runs bit-identical to unpruned
     ones (the differential suite pins this).
 
-    Pruning can be switched off with the environment variable
-    [CHASE_NO_PRUNE] (["1"], ["true"], ["yes"] or ["on"]) or in-process
-    with {!force_disable} — [relevant] then returns every rule index. *)
+    Pruning is a field of the run configuration ([Engine.config.prune]:
+    off under the CLIs' [--no-prune] or [CHASE_NO_PRUNE=1] through
+    [Engine.default_config]); an index built with [~prune:false] makes
+    [relevant] return every rule index. *)
 
 open Chase_logic
 
 type t
 
-val build : Tgd.t array -> t
-(** Index the body atoms of [rules] by predicate.  Total; never
-    raises. *)
+val build : prune:bool -> Tgd.t array -> t
+(** Index the body atoms of [rules] by predicate; [prune:false] builds
+    the disabled index.  Total; never raises. *)
 
 val enabled : t -> bool
-(** False when pruning was disabled at build time (environment or
-    {!force_disable}). *)
-
-val rule_count : t -> int
+(** The [prune] flag the index was built with. *)
 
 val relevant : t -> Atom.t -> int list
 (** Ascending indices of the rules with at least one body atom
@@ -40,9 +38,3 @@ val seed_order : t -> int array
     head-predicate / body-predicate overlap, condensed).  Discovery
     order over a frozen instance cannot change results — callers must
     still enqueue in plain index order. *)
-
-val force_disable : bool -> unit
-(** [force_disable true] makes subsequently built indices behave as if
-    [CHASE_NO_PRUNE] were set — the in-process toggle the differential
-    tests use.  [force_disable false] restores the environment's
-    verdict. *)

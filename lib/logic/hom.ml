@@ -13,9 +13,8 @@
     Both enumerate the same substitution set (the property suite pins
     this); only the enumeration order and the work done differ.  The
     top-level entry points ({!iter}, {!iter_seeded}, {!all}, {!exists},
-    {!find}) dispatch on the process-wide {!matcher} selection: planned
-    by default, naive when the environment variable [CHASE_NAIVE] is set
-    (or {!set_matcher} was called — the CLIs' [--naive]). *)
+    {!find}) dispatch on their [matcher] argument; the chase engine
+    passes the one of its run configuration. *)
 
 (** [match_atom sub pat fact] extends [sub] so that [sub pat = fact];
     [None] if impossible. *)
@@ -128,21 +127,7 @@ end
 
 type matcher = Planned | Naive
 
-(* Read eagerly at module initialisation, not lazily: worker domains of
-   the parallel chase call [matcher ()] concurrently, and forcing a lazy
-   from two domains at once raises [CamlinternalLazy.Undefined].  The
-   environment cannot change the selection mid-process anyway. *)
-let matcher_of_env =
-  match Sys.getenv_opt "CHASE_NAIVE" with
-  | Some ("1" | "true" | "yes" | "on") -> Naive
-  | Some _ | None -> Planned
-
-let selected : matcher option ref = ref None
-
-let set_matcher m = selected := Some m
-
-let matcher () =
-  match !selected with Some m -> m | None -> matcher_of_env
+let default_matcher = if Run_env.current.naive then Naive else Planned
 
 (* ------------------------------------------------------------------ *)
 (* The naive reference matcher (left-to-right, first bound position)   *)
@@ -342,44 +327,46 @@ let iter_seeded_planned ?(init = Subst.empty) ins pats ~seed f =
 (* Dispatching entry points                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** [iter ?init ins pats f] calls [f] on every substitution [s] extending
-    [init] with [s pats ⊆ ins], through the selected matcher. *)
-let iter ?init ins pats f =
+(** [iter ?matcher ?init ins pats f] calls [f] on every substitution [s]
+    extending [init] with [s pats ⊆ ins], through [matcher]. *)
+let iter ?(matcher = default_matcher) ?init ins pats f =
   let f s =
     Stats.bump Stats.matches;
     f s
   in
-  match matcher () with
+  match matcher with
   | Planned -> iter_planned ?init ins pats f
   | Naive -> iter_naive ?init ins pats f
 
-(** [iter_seeded ?init ins pats ~seed f] is like [iter] but only yields
-    substitutions in which at least one body atom is mapped to the fact
-    [seed].  Each qualifying substitution is produced exactly once. *)
-let iter_seeded ?init ins pats ~seed f =
+(** [iter_seeded ?matcher ?init ins pats ~seed f] is like [iter] but only
+    yields substitutions in which at least one body atom is mapped to the
+    fact [seed].  Each qualifying substitution is produced exactly once. *)
+let iter_seeded ?(matcher = default_matcher) ?init ins pats ~seed f =
   let f s =
     Stats.bump Stats.matches;
     f s
   in
-  match matcher () with
+  match matcher with
   | Planned -> iter_seeded_planned ?init ins pats ~seed f
   | Naive -> iter_seeded_naive ?init ins pats ~seed f
 
-let all ?init ins pats =
+let all ?matcher ?init ins pats =
   let acc = ref [] in
-  iter ?init ins pats (fun s -> acc := s :: !acc);
+  iter ?matcher ?init ins pats (fun s -> acc := s :: !acc);
   List.rev !acc
 
-let exists ?init ins pats =
+let exists ?matcher ?init ins pats =
   try
-    iter ?init ins pats (fun _ -> raise Stop);
+    iter ?matcher ?init ins pats (fun _ -> raise Stop);
     false
   with Stop -> true
 
-(** [find ?init ins pats] is the first substitution found, if any. *)
-let find ?init ins pats =
+(** [find ?matcher ?init ins pats] is the first substitution found, if
+    any. *)
+let find ?matcher ?init ins pats =
   let res = ref None in
-  (try iter ?init ins pats (fun s -> res := Some s; raise Stop) with Stop -> ());
+  (try iter ?matcher ?init ins pats (fun s -> res := Some s; raise Stop)
+   with Stop -> ());
   !res
 
 (** [instance_hom src dst] searches for a homomorphism from instance [src]

@@ -5,9 +5,9 @@
     normative semantics) and the {b planned} matcher, which follows a
     selectivity-ordered {!Plan} and probes the smallest index at every
     step.  Both produce the same substitution {e set}; the top-level
-    entry points dispatch on {!matcher} — planned by default, naive when
-    the [CHASE_NAIVE] environment variable is set or {!set_matcher} was
-    called (the CLIs' [--naive] flag).
+    entry points take the matcher as an argument.  The chase engine
+    passes the one of its run configuration ([Engine.config], the CLIs'
+    [--naive]); other callers get {!default_matcher}.
 
     All searches extend an optional initial substitution, which is how
     frontier-restricted matching (restricted chase satisfaction,
@@ -64,30 +64,28 @@ type matcher =
   | Planned  (** join-planned, delta-driven — the default *)
   | Naive  (** left-to-right reference implementation *)
 
-val matcher : unit -> matcher
-(** The active matcher: the value forced by {!set_matcher} if any,
-    otherwise [Naive] when the environment variable [CHASE_NAIVE] is
-    [1]/[true]/[yes]/[on], otherwise [Planned]. *)
-
-val set_matcher : matcher -> unit
-(** Process-wide override, used by the CLIs' [--naive] and the
-    differential test harness. *)
+val default_matcher : matcher
+(** [Naive] when the environment variable [CHASE_NAIVE] is
+    [1]/[true]/[yes]/[on] (see {!Run_env}), otherwise [Planned].  Fixed
+    at start-up. *)
 
 (** {1 Dispatching entry points} *)
 
-val iter : ?init:Subst.t -> Instance.t -> Atom.t list -> (Subst.t -> unit) -> unit
+(** [matcher] defaults to {!default_matcher}. *)
+type 'a search := ?matcher:matcher -> ?init:Subst.t -> Instance.t -> Atom.t list -> 'a
+
+val iter : ((Subst.t -> unit) -> unit) search
 (** Call the continuation on every substitution mapping all atoms into
     the instance. *)
 
-val iter_seeded :
-  ?init:Subst.t -> Instance.t -> Atom.t list -> seed:Atom.t -> (Subst.t -> unit) -> unit
+val iter_seeded : (seed:Atom.t -> (Subst.t -> unit) -> unit) search
 (** Like {!iter} but only substitutions mapping at least one atom onto
     [seed] — the semi-naive primitive of the chase engine.  Each
     qualifying substitution is produced exactly once. *)
 
-val all : ?init:Subst.t -> Instance.t -> Atom.t list -> Subst.t list
-val exists : ?init:Subst.t -> Instance.t -> Atom.t list -> bool
-val find : ?init:Subst.t -> Instance.t -> Atom.t list -> Subst.t option
+val all : Subst.t list search
+val exists : bool search
+val find : Subst.t option search
 
 (** {1 The individual matchers}
 

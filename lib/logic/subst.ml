@@ -49,7 +49,11 @@ let domain (s : t) =
   Smap.fold (fun v _ acc -> Util.Sset.add v acc) s Util.Sset.empty
 
 let compare (s1 : t) (s2 : t) = Smap.compare Term.compare s1 s2
-let equal s1 s2 = compare s1 s2 = 0
+let equal (s1 : t) (s2 : t) = Smap.equal Term.equal s1 s2
+
+(** Every bound term, folded in variable order as [Atom.hash] folds its
+    arguments. *)
+let hash (s : t) = Smap.fold (fun _ t h -> Util.hash_combine h (Term.hash t)) s 0
 
 (** [agree_on vars s1 s2]: both substitutions give the same image (possibly
     both undefined) to every variable in [vars]. *)

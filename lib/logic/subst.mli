@@ -38,6 +38,10 @@ val domain : t -> Util.Sset.t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 
+val hash : t -> int
+(** Structural: folds every bound term, so substitutions that differ in
+    any binding hash apart (in general). *)
+
 val agree_on : Util.Sset.t -> t -> t -> bool
 (** Both substitutions give the same image (possibly both undefined) to
     every variable in the set — the semi-oblivious indistinguishability

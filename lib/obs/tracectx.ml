@@ -159,9 +159,7 @@ module Shard = struct
     mutable drops : int;
   }
 
-  let locked w f =
-    Mutex.lock w.mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock w.mu) f
+  let locked w f = Mutex.protect w.mu f
 
   let open_ ?(check = fun () -> false) ~proc path =
     let oc =

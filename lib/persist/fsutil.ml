@@ -7,6 +7,14 @@
     snapshot or spool file "published" by rename without {!fsync_dir}
     can silently vanish with the crash it was supposed to survive. *)
 
+let read_file path =
+  try
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> Ok (really_input_string ic (in_channel_length ic)))
+  with Sys_error msg -> Error msg
+
 (** [fsync_dir dir] makes a preceding [rename]/[unlink] in [dir]
     durable.  Errors are swallowed: some filesystems refuse to fsync a
     directory fd, and the write itself already succeeded — degrading to

@@ -3,6 +3,9 @@
     file atomically ({!Snapshot}, {!Journal.rewrite}, the service
     spool, the replication receiver). *)
 
+val read_file : string -> (string, string) result
+(** The whole file, or the system's error message. *)
+
 val fsync_dir : string -> unit
 (** [fsync_dir dir] makes a preceding [rename]/[unlink] inside [dir]
     durable across power loss.  Never raises: filesystems that refuse

@@ -253,12 +253,6 @@ let pp_tail fm = function
   | Torn { offset; reason } ->
     Fmt.pf fm "torn tail at byte %d: %s" offset reason
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* One frame at [pos]: [Ok (tag, payload, next_pos)] or the torn-tail
    reason.  [`Eof] when [pos] is exactly the end of the data. *)
 let parse_frame data pos =
@@ -280,7 +274,7 @@ let parse_frame data pos =
 let read path =
   if not (Sys.file_exists path) then Error (Fmt.str "no such journal: %s" path)
   else begin
-    let data = try Ok (read_file path) with Sys_error m -> Error m in
+    let data = Fsutil.read_file path in
     match data with
     | Error m -> Error (Fmt.str "cannot read journal %s: %s" path m)
     | Ok data ->
@@ -361,9 +355,9 @@ let rewrite path h records =
 let tail path ~offset =
   if not (Sys.file_exists path) then Error (Fmt.str "no such journal: %s" path)
   else begin
-    match read_file path with
-    | exception Sys_error m -> Error (Fmt.str "cannot read journal %s: %s" path m)
-    | data ->
+    match Fsutil.read_file path with
+    | Error m -> Error (Fmt.str "cannot read journal %s: %s" path m)
+    | Ok data ->
       let mlen = String.length magic in
       if String.length data < mlen || String.sub data 0 mlen <> magic then
         Error (Fmt.str "%s is not a chase journal (bad magic)" path)

@@ -21,12 +21,19 @@ type answer =
 
 let default_budget = 50_000
 
-let check ?(budget = default_budget) rules db query =
+let check ?(config = Engine.default_config) ?(budget = default_budget) rules db
+    query =
   let config =
-    { Engine.variant = Variant.Semi_oblivious; limits = Limits.of_budget budget }
+    {
+      config with
+      Engine.variant = Variant.Semi_oblivious;
+      limits = Limits.of_budget budget;
+    }
   in
   let result = Engine.run ~config rules db in
-  let found = Hom.exists result.Engine.instance [ query ] in
+  let found =
+    Hom.exists ~matcher:config.Engine.matcher result.Engine.instance [ query ]
+  in
   if found then `Entailed
   else
     match result.Engine.status with
@@ -36,13 +43,14 @@ let check ?(budget = default_budget) rules db query =
         (Fmt.str "%a without deriving %a" Limits.pp_breach
            reason.Limits.Exhaustion.breach Atom.pp query)
 
-let holds ?budget rules db query = check ?budget rules db query = `Entailed
+let holds ?config ?budget rules db query =
+  check ?config ?budget rules db query = `Entailed
 
 (** Entailment from the critical database of the rule schema (extended
     with the query's predicate), the form used by the looping operator. *)
-let holds_critical ?(standard = true) ?budget rules query =
+let holds_critical ?config ?(standard = true) ?budget rules query =
   let schema =
     Schema.add_exn (Schema.of_rules rules) (Atom.pred query) (Atom.arity query)
   in
   let crit = Critical.instance ~standard schema in
-  holds ?budget rules (Instance.to_list crit) query
+  holds ?config ?budget rules (Instance.to_list crit) query

@@ -12,8 +12,26 @@ type answer =
 
 val default_budget : int
 
-val check : ?budget:int -> Tgd.t list -> Atom.t list -> Atom.t -> answer
-val holds : ?budget:int -> Tgd.t list -> Atom.t list -> Atom.t -> bool
+type 'a entails :=
+  ?config:Chase_engine.Engine.config ->
+  ?budget:int ->
+  Tgd.t list ->
+  Atom.t list ->
+  Atom.t ->
+  'a
 
-val holds_critical : ?standard:bool -> ?budget:int -> Tgd.t list -> Atom.t -> bool
+val check : answer entails
+(** The semi-oblivious chase of the database, under [config] (default
+    {!Chase_engine.Engine.default_config}) with its variant and limits
+    replaced. *)
+
+val holds : bool entails
+
+val holds_critical :
+  ?config:Chase_engine.Engine.config ->
+  ?standard:bool ->
+  ?budget:int ->
+  Tgd.t list ->
+  Atom.t ->
+  bool
 (** Entailment from the critical database of the combined schema. *)

@@ -70,14 +70,26 @@ let call ?(attempts_per_server = 3) ?(base_delay = 0.05) ?(max_delay = 2.0)
       | Error (Client.Rejected resp) when is_standby_refusal resp ->
         if promote && try_promote ~seed ~socket () then begin
           on_event (Fmt.str "promoted %s" socket);
-          match attempt () with
-          | Ok response ->
-            Ok { server = socket; promoted = true; failovers; response }
-          | Error (Client.Rejected resp) ->
-            Error (Rejected { server = socket; response = resp })
-          | Error (Client.Gave_up { last; _ }) ->
-            on_event (Fmt.str "%s: %s" socket last);
-            go (failovers + 1) ((socket, last) :: log) rest
+          (* A standby refusal after an acknowledged promote is a stale
+             answer from the promotion window, not a verdict: back off
+             and re-send, within the same attempt budget. *)
+          let rec resend k =
+            match attempt () with
+            | Ok response ->
+              Ok { server = socket; promoted = true; failovers; response }
+            | Error (Client.Rejected resp)
+              when is_standby_refusal resp && k + 1 < attempts_per_server ->
+              on_event (Fmt.str "%s still refusing after promote" socket);
+              Thread.delay
+                (Float.min max_delay (base_delay *. Float.pow 2. (float_of_int k)));
+              resend (k + 1)
+            | Error (Client.Rejected resp) ->
+              Error (Rejected { server = socket; response = resp })
+            | Error (Client.Gave_up { last; _ }) ->
+              on_event (Fmt.str "%s: %s" socket last);
+              go (failovers + 1) ((socket, last) :: log) rest
+          in
+          resend 0
         end
         else begin
           on_event (Fmt.str "%s is a standby" socket);

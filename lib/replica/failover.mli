@@ -1,7 +1,9 @@
 (** Client-side failover across a replicated pair: try each server in
     order; a dead server (retries exhausted) falls through to the
     next, a standby's structured refusal triggers promotion (when
-    [promote], the default) followed by a re-send.  Safe because
+    [promote], the default) followed by a re-send; a standby refusal
+    that still arrives after the promote was acknowledged is retried
+    with backoff within [attempts_per_server].  Safe because
     requests are idempotent by key and acknowledged durable requests
     were shipped before their ack — the promoted standby re-derives
     byte-identical responses. *)

@@ -69,9 +69,7 @@ type t = {
   mutable certifier : Thread.t option;
 }
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+let locked t f = Mutex.protect t.mu f
 
 let with_obs t f =
   Mutex.lock t.obs_mu;
@@ -230,13 +228,7 @@ let accept_loop t =
 (* Continuous certification                                            *)
 (* ------------------------------------------------------------------ *)
 
-let read_file path =
-  match open_in_bin path with
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Some (really_input_string ic (in_channel_length ic)))
-  | exception Sys_error _ -> None
+let read_file path = Result.to_option (Chase_persist.Fsutil.read_file path)
 
 (* Re-derive the journal against the program of its own shipped [.req]:
    the same certification path boot recovery runs, minus any repair —

@@ -88,9 +88,7 @@ type t = {
   mutable tailer : Thread.t option;
 }
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+let locked t f = Mutex.protect t.mu f
 
 let with_obs t f =
   Mutex.lock t.obs_mu;
@@ -201,13 +199,7 @@ let on_durable t what ~key ~trace bytes =
 (* Scanning the spool                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let read_file path =
-  match open_in_bin path with
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Some (really_input_string ic (in_channel_length ic)))
-  | exception Sys_error _ -> None
+let read_file path = Result.to_option (Chase_persist.Fsutil.read_file path)
 
 let is_journal name = Filename.check_suffix name ".jnl"
 

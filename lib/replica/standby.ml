@@ -19,6 +19,7 @@
 
 module Proto = Chase_service.Proto
 module Server = Chase_service.Server
+module Faults = Chase_engine.Faults
 module Jsonv = Chase_obs.Jsonv
 module Telemetry = Chase_obs.Telemetry
 
@@ -55,9 +56,7 @@ type t = {
   mutable accepter : Thread.t option;
 }
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+let locked t f = Mutex.protect t.mu f
 
 let spool_dir cfg =
   match cfg.server.Server.spool_dir with
@@ -206,17 +205,22 @@ let handle_stub_conn t fd =
             respond ~id (ok_result (telemetry_body t req));
             loop ()
           | Proto.Promote ->
-            (* answer first: the promoting client's next step is to
-               retry its request against the (re)bound socket, and its
-               connect-retry loop rides out the boot recovery *)
+            (* enter the promoting state before acknowledging: once the
+               client holds the ack, its re-sent request must never be
+               refused by the stub.  New connections are turned away
+               (the client's connect-retry loop rides out the boot
+               recovery) and no stub connection answers a refusal *)
+            locked t (fun () -> t.stub_stopping <- true);
             respond ~id (ok_result "promoted\n");
+            Faults.Hold.point "standby.promote-ack";
             ignore (Thread.create (fun () -> promote t) ())
           | Proto.Shutdown ->
+            (* same shape as [Promote]: stop serving, then acknowledge *)
+            locked t (fun () -> t.stub_stopping <- true);
             respond ~id (ok_result "bye\n");
             ignore
               (Thread.create
                  (fun () ->
-                   locked t (fun () -> t.stub_stopping <- true);
                    (match locked t (fun () -> t.state) with
                    | Receiving r -> Receiver.stop r
                    | Promoted _ -> ());
@@ -229,10 +233,16 @@ let handle_stub_conn t fd =
                        Condition.broadcast t.cond))
                  ())
           | Proto.Decide | Proto.Chase | Proto.Lint | Proto.Query ->
-            (* the structured refusal a failover client keys on *)
-            respond ~id
-              (Proto.Server_error "standby: not serving requests (promote first)");
-            loop ()))
+            (* the structured refusal a failover client keys on — unless
+               a promotion or shutdown began while this connection was
+               reading: then drop it unanswered, and the client's retry
+               reaches whatever serves the socket next *)
+            if not (locked t (fun () -> t.stub_stopping)) then begin
+              respond ~id
+                (Proto.Server_error
+                   "standby: not serving requests (promote first)");
+              loop ()
+            end))
   in
   loop ()
 

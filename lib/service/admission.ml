@@ -33,9 +33,7 @@ type t = {
   mutable shed : int;
 }
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+let locked t f = Mutex.protect t.mu f
 
 let worker t =
   let rec loop () =

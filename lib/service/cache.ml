@@ -47,9 +47,7 @@ let create ?(capacity = 256) () =
     closed = false;
   }
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+let locked t f = Mutex.protect t.mu f
 
 (* Evict the oldest retained results past capacity.  The FIFO may hold
    stale keys (re-published under a new flight); skip any key that is

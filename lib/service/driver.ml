@@ -33,14 +33,6 @@ module Json = Chase_obs.Jsonv
 module Diagnostic = Chase_analysis.Diagnostic
 module Schema_check = Chase_analysis.Schema_check
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-  with Sys_error msg -> Error msg
-
 (* ------------------------------------------------------------------ *)
 (* Shared parsing and preflight                                        *)
 (* ------------------------------------------------------------------ *)
@@ -142,6 +134,9 @@ let watchdog_of ?on_snapshot ~err ~obs progress =
 (* ------------------------------------------------------------------ *)
 
 type chase_opts = {
+  engine : Engine.config;
+      (** the base run configuration (matcher, domains, pruning); the
+          variant and limits below are set on it *)
   variant : Variant.t;
   budget : int;
   max_atoms : int;
@@ -178,13 +173,14 @@ type chase_opts = {
           change the response bytes *)
 }
 
-let chase_opts ?(variant = Variant.Oblivious) ?(budget = 100_000)
-    ?(max_atoms = 400_000) ?timeout ?(progress = false) ?(critical = false)
+let chase_opts ?(engine = Engine.default_config) ?(variant = Variant.Oblivious)
+    ?(budget = 100_000) ?(max_atoms = 400_000) ?timeout ?(progress = false) ?(critical = false)
     ?(standard = false) ?(quiet = false) ?journal ?(snapshot_every = 512)
     ?(journal_sync = 64) ?resume ?(resume_or_start = false) ?(lint = false)
     ?trace ?metrics ?(profile = false) ?cancel ?on_status ?resume_log
     ?on_progress () =
   {
+    engine;
     variant;
     budget;
     max_atoms;
@@ -237,7 +233,7 @@ let chase o ~file ~src ~out ~err =
           Limits.make ~max_triggers:o.budget ~max_atoms:o.max_atoms
             ?timeout:o.timeout ?cancel:o.cancel ()
         in
-        let config = { Engine.variant = o.variant; limits } in
+        let config = { o.engine with Engine.variant = o.variant; limits } in
         let watchdog =
           watchdog_of ?on_snapshot:o.on_progress ~err ~obs o.progress
         in
@@ -355,6 +351,7 @@ let chase o ~file ~src ~out ~err =
 (* ------------------------------------------------------------------ *)
 
 type decide_opts = {
+  engine : Engine.config;  (** the base of every chase the verdict runs *)
   variant : Variant.t;
   budget : int;
   standard : bool;
@@ -369,11 +366,12 @@ type decide_opts = {
   on_verdict : (Verdict.t -> unit) option;
 }
 
-let decide_opts ?(variant = Variant.Semi_oblivious) ?(budget = 50_000)
-    ?(standard = true) ?timeout ?(progress = false) ?(report = false)
-    ?(lint = false) ?trace ?metrics ?(profile = false) ?cancel ?on_verdict ()
-    =
+let decide_opts ?(engine = Engine.default_config)
+    ?(variant = Variant.Semi_oblivious) ?(budget = 50_000) ?(standard = true)
+    ?timeout ?(progress = false) ?(report = false) ?(lint = false) ?trace
+    ?metrics ?(profile = false) ?cancel ?on_verdict () =
   {
+    engine;
     variant;
     budget;
     standard;
@@ -397,7 +395,7 @@ let decide o ~file ~src ~out ~err =
   | Ok lrules ->
     let rules = List.map fst lrules in
     if o.report then begin
-      Fmt.pf out "%a@." Report.pp (Report.build ~budget:o.budget rules);
+      Fmt.pf out "%a@." Report.pp (Report.build ~config:o.engine ~budget:o.budget rules);
       0
     end
     else begin
@@ -417,8 +415,8 @@ let decide o ~file ~src ~out ~err =
         in
         let watchdog = watchdog_of ~err ~obs o.progress in
         let v =
-          Decide.check ~standard:o.standard ~budget:o.budget ?limits ?watchdog
-            ~obs ~variant:o.variant rules
+          Decide.check ~config:o.engine ~standard:o.standard ~budget:o.budget
+            ?limits ?watchdog ~obs ~variant:o.variant rules
         in
         obs_close ();
         Option.iter (fun f -> f v) o.on_verdict;
@@ -439,6 +437,7 @@ type lint_format =
   | Json_format
 
 type lint_opts = {
+  engine : Engine.config;  (** the base of the explain battery's chases *)
   format : lint_format;
   explain : Variant.t list;
   analyze : bool;
@@ -446,10 +445,10 @@ type lint_opts = {
   standard : bool;
 }
 
-let lint_opts ?(format = Human) ?(explain = []) ?(analyze = false)
-    ?(budget = -1) ?(standard = true) () =
+let lint_opts ?(engine = Engine.default_config) ?(format = Human) ?(explain = [])
+    ?(analyze = false) ?(budget = -1) ?(standard = true) () =
   let budget = if budget < 0 then Guarded.default_budget else budget in
-  { format; explain; analyze; budget; standard }
+  { engine; format; explain; analyze; budget; standard }
 
 let lint_one o ~file ~src ~out ~err =
   match Parser.parse_located src with
@@ -458,7 +457,7 @@ let lint_one o ~file ~src ~out ~err =
     2
   | Ok program ->
     let report =
-      Lint.analyze ~explain:o.explain ~dataflow:o.analyze
+      Lint.analyze ~explain:o.explain ~dataflow:o.analyze ~config:o.engine
         ~standard:o.standard ~budget:o.budget (Lint.of_program program)
     in
     (match o.format with
@@ -524,7 +523,7 @@ let query (o : chase_opts) ~query:q ~file ~src ~out ~err =
           Limits.make ~max_triggers:o.budget ~max_atoms:o.max_atoms
             ?timeout:o.timeout ?cancel:o.cancel ()
         in
-        let config = { Engine.variant = o.variant; limits } in
+        let config = { o.engine with Engine.variant = o.variant; limits } in
         let result = Engine.run ~config rules facts in
         Option.iter (fun f -> f result.Engine.status) o.on_status;
         let answers = Query.certain_answers query result.Engine.instance in

@@ -21,9 +21,7 @@ type t = {
   mutable closed : bool;
 }
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+let locked t f = Mutex.protect t.mu f
 
 let create ?(per_request_cap = max_int) ?(min_grant = 1) ~total () =
   if total <= 0 then invalid_arg "Pool.create: total must be positive";

@@ -56,6 +56,9 @@ type config = {
       (** where the flight recorder appends its JSONL post-mortems
           (crash-recovery boots, load sheds); [None] disables dumping *)
   faults : Faults.service_fault list;
+  engine : Chase_engine.Engine.config;
+      (** the base run configuration of every request's chases: the
+          daemon's [--domains], over {!Chase_engine.Engine.default_config} *)
   on_durable :
     ([ `Req | `Resp ] -> key:string -> trace:string option -> string -> unit)
     option;
@@ -71,7 +74,7 @@ let config ?(workers = 4) ?(queue_cap = 16) ?(pool_total = 400_000)
     ?(per_request_cap = 100_000) ?(min_grant = 1_000) ?(cache_capacity = 256)
     ?spool_dir ?(default_timeout = 30.) ?(max_frame = Proto.default_max_frame)
     ?(read_timeout = 10.) ?metrics ?trace_shard ?flight ?(faults = [])
-    ?on_durable socket =
+    ?(engine = Chase_engine.Engine.default_config) ?on_durable socket =
   {
     socket;
     workers;
@@ -88,6 +91,7 @@ let config ?(workers = 4) ?(queue_cap = 16) ?(pool_total = 400_000)
     trace_shard;
     flight;
     faults;
+    engine;
     on_durable;
   }
 
@@ -126,9 +130,7 @@ type t = {
   mutable finished : bool;
 }
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+let locked t f = Mutex.protect t.mu f
 
 (* Every Obs touch goes through this: the Metrics registry is a bare
    Hashtbl and spans are stack-matched, neither safe under the worker
@@ -333,7 +335,8 @@ let execute t req ~grant ~timeout ~cancel ~progress =
       finish 1
     | Ok variant ->
       let o =
-        Driver.decide_opts ~variant ~budget:grant ~standard:req.Proto.standard
+        Driver.decide_opts ~engine:t.cfg.engine ~variant ~budget:grant
+          ~standard:req.Proto.standard
           ~timeout ~cancel
           ~on_verdict:(fun v ->
             (* an Unknown verdict embeds elapsed wall time in its
@@ -368,8 +371,8 @@ let execute t req ~grant ~timeout ~cancel ~progress =
           progress
       in
       let o =
-        Driver.chase_opts ~variant ~budget:grant ~max_atoms:(4 * grant)
-          ~timeout ~quiet:req.Proto.quiet ~standard:req.Proto.standard
+        Driver.chase_opts ~engine:t.cfg.engine ~variant ~budget:grant
+          ~max_atoms:(4 * grant) ~timeout ~quiet:req.Proto.quiet ~standard:req.Proto.standard
           ?journal ?resume ~resume_or_start ~cancel ~on_status
           ~resume_log:sink_formatter ?on_progress ()
       in
@@ -381,13 +384,16 @@ let execute t req ~grant ~timeout ~cancel ~progress =
       finish 1
     | Ok variant ->
       let o =
-        Driver.chase_opts ~variant ~budget:grant ~max_atoms:(4 * grant)
-          ~timeout ~cancel ~on_status ()
+        Driver.chase_opts ~engine:t.cfg.engine ~variant ~budget:grant
+          ~max_atoms:(4 * grant) ~timeout ~cancel ~on_status ()
       in
       let q = Option.value ~default:"" req.Proto.query in
       finish (Driver.query o ~query:q ~file ~src ~out ~err))
   | Proto.Lint ->
-    let o = Driver.lint_opts ~budget:grant ~standard:req.Proto.standard () in
+    let o =
+      Driver.lint_opts ~engine:t.cfg.engine ~budget:grant
+        ~standard:req.Proto.standard ()
+    in
     finish (Driver.lint_one o ~file ~src ~out ~err)
   | Proto.Ping | Proto.Stats | Proto.Telemetry | Proto.Shutdown
   | Proto.Promote ->

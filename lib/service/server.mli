@@ -27,6 +27,9 @@ type config = {
           here on crash-recovery boots, watchdog stalls, exhaustion
           and sheds *)
   faults : Chase_engine.Faults.service_fault list;
+  engine : Chase_engine.Engine.config;
+      (** the base run configuration of every request's chases (the
+          daemon's [--domains]); each request sets variant and limits *)
   on_durable :
     ([ `Req | `Resp ] ->
     key:string ->
@@ -56,12 +59,14 @@ val config :
   ?trace_shard:string ->
   ?flight:string ->
   ?faults:Chase_engine.Faults.service_fault list ->
+  ?engine:Chase_engine.Engine.config ->
   ?on_durable:
     ([ `Req | `Resp ] -> key:string -> trace:string option -> string -> unit) ->
   string ->
   config
 (** [config socket] with serviceable defaults (4 workers, queue of 16,
-    400k-credit pool capped at 100k per request). *)
+    400k-credit pool capped at 100k per request, and
+    {!Chase_engine.Engine.default_config} as the run configuration). *)
 
 type t
 

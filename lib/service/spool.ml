@@ -26,13 +26,7 @@ let resp_path t ~key = Filename.concat t.dir (key ^ ".resp")
    durable — the shared {!Chase_persist.Fsutil} cycle. *)
 let write_atomic path data = Chase_persist.Fsutil.write_atomic path data
 
-let read_file path =
-  match open_in_bin path with
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Some (really_input_string ic (in_channel_length ic)))
-  | exception Sys_error _ -> None
+let read_file path = Result.to_option (Chase_persist.Fsutil.read_file path)
 
 let put_request t ~key data = write_atomic (req_path t ~key) data
 let put_response t ~key data = write_atomic (resp_path t ~key) data

@@ -84,8 +84,8 @@ let sufficient_acyclicity ~variant rules =
               restricted chase terminate on every database")
     else None
 
-let check ?standard ?budget ?limits ?watchdog ?(obs = Chase_obs.Obs.disabled)
-    ~variant rules =
+let check ?config ?standard ?budget ?limits ?watchdog
+    ?(obs = Chase_obs.Obs.disabled) ~variant rules =
   let module Obs = Chase_obs.Obs in
   (* Each procedure runs under a [decide:<proc>] span with its wall time
      recorded per procedure — the per-theorem-check timing surfaced by
@@ -104,16 +104,16 @@ let check ?standard ?budget ?limits ?watchdog ?(obs = Chase_obs.Obs.disabled)
   | Restricted ->
     (* §4 territory: sufficient conditions, generic-instance refutation,
        and the single-head linear probe. *)
-    timed "restricted" (fun () -> Restricted.check ?budget ?limits ~obs rules)
+    timed "restricted" (fun () -> Restricted.check ?config ?budget ?limits ~obs rules)
   | Oblivious | Semi_oblivious -> (
     match Classify.classify rules with
     | Classify.Simple_linear ->
       timed "simple-linear" (fun () -> Sl.check ~variant rules)
     | Classify.Linear ->
-      timed "linear" (fun () -> Linear.check ?standard ~variant rules)
+      timed "linear" (fun () -> Linear.check ?config ?standard ~variant rules)
     | Classify.Guarded ->
       timed "guarded" (fun () ->
-          Guarded.check ?standard ?budget ?limits ~obs ~variant rules)
+          Guarded.check ?config ?standard ?budget ?limits ~obs ~variant rules)
     | Classify.Unguarded -> (
       match
         timed "acyclicity" (fun () -> sufficient_acyclicity ~variant rules)
@@ -121,6 +121,6 @@ let check ?standard ?budget ?limits ?watchdog ?(obs = Chase_obs.Obs.disabled)
       | Some v -> v
       | None ->
         timed "simulation" (fun () ->
-            (Simulation.check ?standard ?budget ?limits ?watchdog ~obs
+            (Simulation.check ?config ?standard ?budget ?limits ?watchdog ~obs
                ~variant rules)
               .verdict)))

@@ -9,6 +9,7 @@
     Restricted variant: {!Restricted.check}. *)
 
 val check :
+  ?config:Chase_engine.Engine.config ->
   ?standard:bool ->
   ?budget:int ->
   ?limits:Chase_engine.Limits.t ->
@@ -17,7 +18,11 @@ val check :
   variant:Chase_engine.Variant.t ->
   Chase_logic.Tgd.t list ->
   Verdict.t
-(** [limits] overrides the budget-derived defaults of every budgeted
+(** [config] (default {!Chase_engine.Engine.default_config}) is the base
+    configuration of every chase the chosen procedure runs: its matcher,
+    domain count and pruning switch carry through, while each procedure
+    sets its own variant and limits.  [limits] overrides the
+    budget-derived defaults of every budgeted
     procedure (adding e.g. a wall-clock deadline or a cancellation
     token); [watchdog] streams progress snapshots of the
     chase-simulation fallback.  [obs] wraps the chosen procedure in a

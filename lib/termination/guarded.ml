@@ -249,8 +249,9 @@ let find_pump ?(min_occurrences = 3) ?(tips = 8)
 
 let default_budget = 20_000
 
-let check ?(standard = true) ?(budget = default_budget) ?limits
-    ?(obs = Chase_obs.Obs.disabled) ~variant rules =
+let check ?(config = Engine.default_config) ?(standard = true)
+    ?(budget = default_budget) ?limits ?(obs = Chase_obs.Obs.disabled) ~variant
+    rules =
   require_guarded rules;
   if Chase_classes.Classify.is_full rules then
     Verdict.terminates ~procedure:"guarded-types"
@@ -262,7 +263,7 @@ let check ?(standard = true) ?(budget = default_budget) ?limits
     let limits =
       match limits with Some l -> l | None -> Limits.of_budget budget
     in
-    let config = { Engine.variant; limits } in
+    let config = { config with Engine.variant; limits } in
     let result = Engine.run ~config ~obs rules (Instance.to_list crit) in
     match result.Engine.status with
     | Engine.Terminated ->

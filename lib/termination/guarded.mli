@@ -29,6 +29,7 @@ val find_pump :
     examined and chain nodes walked ([guarded.pump.chains/nodes]). *)
 
 val check :
+  ?config:Engine.config ->
   ?standard:bool ->
   ?budget:int ->
   ?limits:Limits.t ->
@@ -36,7 +37,9 @@ val check :
   variant:Variant.t ->
   Tgd.t list ->
   Verdict.t
-(** [limits] overrides the budget-derived defaults (deadline,
+(** [config] (default {!Engine.default_config}) is the base of the
+    critical-instance chase, whose variant and limits this procedure
+    sets; [limits] overrides the budget-derived defaults (deadline,
     cancellation, …); [obs] flows into the critical-instance chase and
     the pump search.
     @raise Invalid_argument if the set is not guarded. *)

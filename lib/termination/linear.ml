@@ -8,10 +8,10 @@
 open Chase_engine
 open Chase_acyclicity
 
-let check ?(standard = true) ~variant rules =
+let check ?config ?(standard = true) ~variant rules =
   match (variant : Variant.t) with
   | Oblivious -> (
-    match Critical_linear.check_oblivious ~standard rules with
+    match Critical_linear.check_oblivious ?config ~standard rules with
     | Critical_linear.Terminating ->
       Verdict.terminates ~procedure:"critical-rich-acyclicity"
         ~evidence:
@@ -26,7 +26,7 @@ let check ?(standard = true) ~variant rules =
     | Critical_linear.Inconclusive msg ->
       Verdict.unknown ~procedure:"critical-rich-acyclicity" ~evidence:msg)
   | Semi_oblivious -> (
-    match Critical_linear.check_semi_oblivious ~standard rules with
+    match Critical_linear.check_semi_oblivious ?config ~standard rules with
     | Critical_linear.Terminating ->
       Verdict.terminates ~procedure:"critical-weak-acyclicity"
         ~evidence:

@@ -48,7 +48,7 @@ let stats_of (r : Engine.result) =
     nulls = r.Engine.nulls_created;
   }
 
-let build ?(budget = 20_000) rules =
+let build ?(config = Engine.default_config) ?(budget = 20_000) rules =
   let acyclicity =
     {
       richly_acyclic = Rich.is_richly_acyclic rules;
@@ -57,7 +57,7 @@ let build ?(budget = 20_000) rules =
       super_weakly_acyclic = Super_weak.is_super_weakly_acyclic rules;
       stratified = Chase_strata.Strata.is_safe rules;
       mfa =
-        (match Mfa.check ~budget rules with
+        (match Mfa.check ~config ~budget rules with
         | `Mfa -> Some true
         | `Not_mfa _ -> Some false
         | `Unknown _ -> None);
@@ -66,7 +66,11 @@ let build ?(budget = 20_000) rules =
   let critical_run =
     let crit = Critical.of_rules rules in
     let config =
-      { Engine.variant = Variant.Semi_oblivious; limits = Limits.of_budget budget }
+      {
+        config with
+        Engine.variant = Variant.Semi_oblivious;
+        limits = Limits.of_budget budget;
+      }
     in
     stats_of (Engine.run ~config rules (Instance.to_list crit))
   in
@@ -76,9 +80,10 @@ let build ?(budget = 20_000) rules =
     single_head = Classify.is_single_head rules;
     full = Classify.is_full rules;
     acyclicity;
-    oblivious = Decide.check ~budget ~variant:Variant.Oblivious rules;
-    semi_oblivious = Decide.check ~budget ~variant:Variant.Semi_oblivious rules;
-    restricted = Decide.check ~budget ~variant:Variant.Restricted rules;
+    oblivious = Decide.check ~config ~budget ~variant:Variant.Oblivious rules;
+    semi_oblivious =
+      Decide.check ~config ~budget ~variant:Variant.Semi_oblivious rules;
+    restricted = Decide.check ~config ~budget ~variant:Variant.Restricted rules;
     critical_run;
   }
 

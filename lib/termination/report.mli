@@ -36,5 +36,9 @@ type t = {
   critical_run : chase_stats;
 }
 
-val build : ?budget:int -> Tgd.t list -> t
+val build : ?config:Engine.config -> ?budget:int -> Tgd.t list -> t
+(** [config] (default {!Engine.default_config}) is the base of every chase
+    the portfolio runs: MFA, the three verdicts and the critical-instance
+    statistics run. *)
+
 val pp : Format.formatter -> t -> unit

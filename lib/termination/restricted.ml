@@ -29,14 +29,15 @@ open Chase_acyclicity
 
 let default_budget = 20_000
 
-let probe ?(budget = default_budget) ?limits ?obs rules db =
+let probe ?(config = Engine.default_config) ?(budget = default_budget) ?limits
+    ?obs rules db =
   let limits =
     match limits with Some l -> l | None -> Limits.of_budget budget
   in
-  let config = { Engine.variant = Variant.Restricted; limits } in
+  let config = { config with Engine.variant = Variant.Restricted; limits } in
   Engine.run ~config ?obs rules db
 
-let check ?(budget = default_budget) ?limits ?obs rules =
+let check ?config ?(budget = default_budget) ?limits ?obs rules =
   if Weak.is_weakly_acyclic rules then
     Verdict.terminates ~procedure:"weak-acyclicity (sufficient)"
       ~evidence:
@@ -59,7 +60,7 @@ let check ?(budget = default_budget) ?limits ?obs rules =
   else begin
     let generic = Critical.generic_of_rules rules in
     let on_generic =
-      probe ~budget ?limits ?obs rules (Instance.to_list generic)
+      probe ?config ~budget ?limits ?obs rules (Instance.to_list generic)
     in
     match on_generic.Engine.status with
     | Engine.Exhausted reason ->

@@ -12,15 +12,19 @@ open Chase_engine
 val default_budget : int
 
 val probe :
+  ?config:Engine.config ->
   ?budget:int ->
   ?limits:Limits.t ->
   ?obs:Chase_obs.Obs.t ->
   Chase_logic.Tgd.t list ->
   Chase_logic.Atom.t list ->
   Engine.result
-(** A restricted-chase run on an explicit database. *)
+(** A restricted-chase run on an explicit database, under [config]
+    (default {!Engine.default_config}) with its variant and limits
+    replaced. *)
 
 val check :
+  ?config:Engine.config ->
   ?budget:int ->
   ?limits:Limits.t ->
   ?obs:Chase_obs.Obs.t ->

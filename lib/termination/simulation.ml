@@ -27,16 +27,17 @@ type outcome = {
 
 let default_budget = 50_000
 
-(** [check ?standard ?budget ?limits ?watchdog ~variant rules] chases
-    crit(Σ).  [limits] overrides the budget-derived defaults; [watchdog]
-    streams progress snapshots of the simulation run. *)
-let check ?(standard = true) ?(budget = default_budget) ?limits ?watchdog ?obs
-    ~variant rules =
+(** [check ?config ?standard ?budget ?limits ?watchdog ~variant rules]
+    chases crit(Σ) under [config] with its variant and limits replaced.
+    [limits] overrides the budget-derived defaults; [watchdog] streams
+    progress snapshots of the simulation run. *)
+let check ?(config = Engine.default_config) ?(standard = true)
+    ?(budget = default_budget) ?limits ?watchdog ?obs ~variant rules =
   let crit = Critical.of_rules ~standard rules in
   let limits =
     match limits with Some l -> l | None -> Limits.of_budget budget
   in
-  let config = { Engine.variant; limits } in
+  let config = { config with Engine.variant; limits } in
   let result =
     Engine.run ~config ?obs ?watchdog rules (Instance.to_list crit)
   in
@@ -66,12 +67,3 @@ let check ?(standard = true) ?(budget = default_budget) ?limits ?watchdog ?obs
              (Limits.Exhaustion.diagnosis reason))
   in
   { verdict; result }
-
-(** Budget-exhaustion treated as presumed divergence; used as the ground
-    truth oracle in agreement experiments, where the exact procedures are
-    being validated. *)
-let presume ?standard ?budget ~variant rules =
-  let { verdict; _ } = check ?standard ?budget ~variant rules in
-  match Verdict.answer verdict with
-  | Verdict.Terminates -> true
-  | Verdict.Diverges | Verdict.Unknown -> false

@@ -15,6 +15,7 @@ type outcome = {
 val default_budget : int
 
 val check :
+  ?config:Engine.config ->
   ?standard:bool ->
   ?budget:int ->
   ?limits:Limits.t ->
@@ -23,12 +24,9 @@ val check :
   variant:Variant.t ->
   Chase_logic.Tgd.t list ->
   outcome
-(** [limits] overrides the budget-derived defaults (adding e.g. a
+(** [config] (default {!Engine.default_config}) is the base of the
+    simulation run, whose variant and limits this procedure sets;
+    [limits] overrides the budget-derived defaults (adding e.g. a
     wall-clock deadline or a cancellation token); [watchdog] streams
     progress snapshots of the simulation run; [obs] flows into the
     simulation's {!Engine.run}. *)
-
-val presume :
-  ?standard:bool -> ?budget:int -> variant:Variant.t -> Chase_logic.Tgd.t list -> bool
-(** Budget exhaustion treated as presumed divergence — the ground-truth
-    convention of the agreement experiments. *)

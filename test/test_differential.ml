@@ -17,28 +17,17 @@
 open Chase
 open Test_util
 
-let with_matcher m f =
-  let saved = Hom.matcher () in
-  Hom.set_matcher m;
-  Fun.protect ~finally:(fun () -> Hom.set_matcher saved) f
-
-let with_pruning_off f =
-  Relevance.force_disable true;
-  Fun.protect ~finally:(fun () -> Relevance.force_disable false) f
-
 (** Run the critical-instance chase under both matchers, plus the planned
     matcher fanned across 2 and 4 domains, plus the planned matcher with
     the trigger-relevance index disabled. *)
 let run_all ~variant ~budget rules =
   let db = Instance.to_list (Critical.of_rules ~standard:false rules) in
-  let go ?domains m =
-    with_matcher m (fun () -> chase ~variant ~budget ?domains rules db)
-  in
-  ( go Hom.Naive,
-    go Hom.Planned,
-    go ~domains:2 Hom.Planned,
-    go ~domains:4 Hom.Planned,
-    with_pruning_off (fun () -> go Hom.Planned) )
+  let go config = chase ~config ~variant ~budget rules db in
+  ( go { cfg with matcher = Hom.Naive },
+    go { cfg with matcher = Hom.Planned },
+    go { cfg with matcher = Hom.Planned; domains = 2 },
+    go { cfg with matcher = Hom.Planned; domains = 4 },
+    go { cfg with matcher = Hom.Planned; prune = false } )
 
 
 let check_identical ctx (rn : Engine.result) (rp : Engine.result) =
@@ -118,31 +107,22 @@ let families =
    either matcher and under the parallel matching plane: its budgeted
    chases are deterministic per matcher and matcher-independent by the
    identity above, and parallel runs are bit-identical to sequential
-   ones.  [Decide] picks up the domain count from the process default,
-   so the parallel leg goes through [Parallel.set_domains] — exactly the
-   path the CLIs' [--domains] uses. *)
-let with_domains d f =
-  let saved = Parallel.default_domains () in
-  Parallel.set_domains d;
-  Fun.protect ~finally:(fun () -> Parallel.set_domains saved) f
-
+   ones.  The configuration reaches every chase [Decide] runs as a
+   value — exactly the path the CLIs' [--naive]/[--domains] use. *)
 let decide_agreement () =
   let check_verdicts name rules =
-    let verdict ?domains m =
-      with_matcher m (fun () ->
-          let go () =
-            Verdict.answer_to_string
-              (Verdict.answer
-                 (Decide.check ~standard:false ~budget:2_000
-                    ~variant:Variant.Semi_oblivious rules))
-          in
-          match domains with Some d -> with_domains d go | None -> go ())
+    let verdict config =
+      Verdict.answer_to_string
+        (Verdict.answer
+           (Decide.check ~config ~standard:false ~budget:2_000
+              ~variant:Variant.Semi_oblivious rules))
     in
-    Alcotest.(check string) name (verdict Hom.Naive) (verdict Hom.Planned);
+    let naive = verdict { cfg with matcher = Hom.Naive } in
+    Alcotest.(check string) name naive (verdict { cfg with matcher = Hom.Planned });
     Alcotest.(check string)
       (name ^ " [parallel@4]")
-      (verdict Hom.Naive)
-      (verdict ~domains:4 Hom.Planned)
+      naive
+      (verdict { cfg with matcher = Hom.Planned; domains = 4 })
   in
   for seed = 0 to 24 do
     check_verdicts

@@ -204,7 +204,7 @@ let test_watchdog_streams () =
   let snaps = ref [] in
   let w = Watchdog.create ~every:16 (fun s -> snaps := s :: !snaps) in
   let config =
-    { Engine.variant = Variant.Oblivious; limits = Limits.of_budget 200 }
+    { Engine.default_config with variant = Variant.Oblivious; limits = Limits.of_budget 200 }
   in
   let result = Engine.run ~config ~watchdog:w (zoo ()) (zoo_db ()) in
   Alcotest.(check bool) "run degraded" true (Engine.exhausted result);

@@ -18,7 +18,7 @@ let base_limits () =
 let run_with_faults plan =
   let faults = Faults.create plan in
   let limits = Faults.arm faults (base_limits ()) in
-  let config = { Engine.variant = Variant.Oblivious; limits } in
+  let config = { Engine.default_config with variant = Variant.Oblivious; limits } in
   let result = Engine.run ~config (zoo ()) (zoo_db ()) in
   (match Engine.check_provenance result ~db:(zoo_db ()) with
   | Ok () -> ()

@@ -20,15 +20,6 @@
 open Chase
 open Test_util
 
-let with_pruning_off f =
-  Relevance.force_disable true;
-  Fun.protect ~finally:(fun () -> Relevance.force_disable false) f
-
-let with_matcher m f =
-  let saved = Hom.matcher () in
-  Hom.set_matcher m;
-  Fun.protect ~finally:(fun () -> Hom.set_matcher saved) f
-
 (* ------------------------------------------------------------------ *)
 (* Flow substrate                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -245,56 +236,52 @@ let pruning_preserves_firings () =
       let db = Instance.to_list (Critical.of_rules ~standard:false rules) in
       let legs =
         [
-          ("planned", fun () -> chase ~budget:2_000 rules db);
-          ( "naive",
-            fun () ->
-              with_matcher Hom.Naive (fun () -> chase ~budget:2_000 rules db)
-          );
-          ("parallel@4", fun () -> chase ~budget:2_000 ~domains:4 rules db);
+          ("planned", cfg);
+          ("naive", { cfg with matcher = Hom.Naive });
+          ("parallel@4", { cfg with domains = 4 });
         ]
       in
       List.iter
-        (fun (leg, go) ->
-          let pruned = go () in
-          let unpruned = with_pruning_off go in
+        (fun (leg, config) ->
+          let go config = chase ~config ~budget:2_000 rules db in
+          let pruned = go config in
+          let unpruned = go { config with prune = false } in
           check_firings_equal (Fmt.str "%s [%s]" name leg) pruned unpruned)
         legs)
     corpora
 
 let relevance_unit () =
   let rules = Array.of_list (parse "p(X) -> q(X, Y).  q(X, Y) -> r(Y).") in
-  let t = Relevance.build rules in
-  (* the pruning-behaviour pins only hold when the environment hasn't
-     disabled the index (make check-pruned runs with CHASE_NO_PRUNE=1) *)
-  if Relevance.enabled t then begin
-    Alcotest.(check (list int))
-      "p fact concerns rule 0 only" [ 0 ]
-      (Relevance.relevant t (fact "p(a)"));
-    Alcotest.(check (list int))
-      "q fact concerns rule 1 only" [ 1 ]
-      (Relevance.relevant t (fact "q(a, b)"));
-    Alcotest.(check (list int))
-      "r fact concerns nobody" []
-      (Relevance.relevant t (fact "r(a)"));
-    (* Constant compatibility, not just predicate overlap. *)
-    let t2 = Relevance.build (Array.of_list (parse "p(a, X) -> q(X).")) in
-    Alcotest.(check (list int))
-      "constant-compatible fact passes" [ 0 ]
-      (Relevance.relevant t2 (fact "p(a, x)"));
-    Alcotest.(check (list int))
-      "constant-incompatible fact pruned" []
-      (Relevance.relevant t2 (fact "p(b, x)"))
-  end;
-  with_pruning_off (fun () ->
-      let t3 = Relevance.build rules in
-      Alcotest.(check (list int))
-        "disabled index returns every rule" [ 0; 1 ]
-        (Relevance.relevant t3 (fact "r(a)")))
+  let t = Relevance.build ~prune:true rules in
+  Alcotest.(check bool) "enabled" true (Relevance.enabled t);
+  Alcotest.(check (list int))
+    "p fact concerns rule 0 only" [ 0 ]
+    (Relevance.relevant t (fact "p(a)"));
+  Alcotest.(check (list int))
+    "q fact concerns rule 1 only" [ 1 ]
+    (Relevance.relevant t (fact "q(a, b)"));
+  Alcotest.(check (list int))
+    "r fact concerns nobody" []
+    (Relevance.relevant t (fact "r(a)"));
+  (* Constant compatibility, not just predicate overlap. *)
+  let t2 =
+    Relevance.build ~prune:true (Array.of_list (parse "p(a, X) -> q(X)."))
+  in
+  Alcotest.(check (list int))
+    "constant-compatible fact passes" [ 0 ]
+    (Relevance.relevant t2 (fact "p(a, x)"));
+  Alcotest.(check (list int))
+    "constant-incompatible fact pruned" []
+    (Relevance.relevant t2 (fact "p(b, x)"));
+  let t3 = Relevance.build ~prune:false rules in
+  Alcotest.(check (list int))
+    "disabled index returns every rule" [ 0; 1 ]
+    (Relevance.relevant t3 (fact "r(a)"))
 
 let seed_order_is_permutation () =
   for seed = 0 to 19 do
     let rules = Array.of_list (Random_tgds.guarded ~seed ()) in
-    let order = Relevance.seed_order (Relevance.build rules) in
+    let order = Relevance.seed_order (Relevance.build ~prune:cfg.prune rules) in
     Alcotest.(check (list int))
       (Fmt.str "seed %d: permutation of 0..%d" seed (Array.length rules - 1))
       (List.init (Array.length rules) Fun.id)

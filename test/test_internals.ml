@@ -94,7 +94,7 @@ let test_guarded_pump_structure () =
   let rules = Families.guarded_divergent ~arity:2 in
   let crit = Critical.of_rules rules in
   let config =
-    { Engine.variant = Variant.Semi_oblivious;
+    { Engine.default_config with variant = Variant.Semi_oblivious;
       limits = Limits.make ~max_triggers:500 ~max_atoms:2000 () }
   in
   let result = Engine.run ~config rules (Instance.to_list crit) in
@@ -117,7 +117,7 @@ let test_guarded_no_pump_on_terminating () =
   let rules = Families.guarded_tower ~levels:3 in
   let crit = Critical.of_rules rules in
   let config =
-    { Engine.variant = Variant.Semi_oblivious;
+    { Engine.default_config with variant = Variant.Semi_oblivious;
       limits = Limits.make ~max_triggers:10_000 ~max_atoms:40_000 () }
   in
   let result = Engine.run ~config rules (Instance.to_list crit) in

@@ -10,11 +10,6 @@
 open Chase
 open Test_util
 
-let with_matcher m f =
-  let saved = Hom.matcher () in
-  Hom.set_matcher m;
-  Fun.protect ~finally:(fun () -> Hom.set_matcher saved) f
-
 (* ------------------------------------------------------------------ *)
 (* Transformations                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -48,8 +43,8 @@ let rename_vars rules =
 
 let variants = [ Variant.Oblivious; Variant.Semi_oblivious; Variant.Restricted ]
 
-let crit_run ~variant ~budget rules =
-  chase ~variant ~budget rules
+let crit_run ~config ~variant ~budget rules =
+  chase ~config ~variant ~budget rules
     (Instance.to_list (Critical.of_rules ~standard:false rules))
 
 (* [fact_map] recodes the original run's facts into the transformed
@@ -59,59 +54,59 @@ let check_transformation name transform fact_map rules =
   let rules' = transform rules in
   List.iter
     (fun m ->
-      with_matcher m (fun () ->
-          List.iter
-            (fun variant ->
-              let ctx =
-                Fmt.str "%s %a %s" name Variant.pp variant
-                  (match m with Hom.Planned -> "planned" | Hom.Naive -> "naive")
-              in
-              let r = crit_run ~variant ~budget:800 rules in
-              let r' = crit_run ~variant ~budget:800 rules' in
-              Alcotest.(check int)
-                (ctx ^ ": triggers applied") r.Engine.triggers_applied
-                r'.Engine.triggers_applied;
-              Alcotest.(check int)
-                (ctx ^ ": triggers skipped") r.Engine.triggers_skipped
-                r'.Engine.triggers_skipped;
-              Alcotest.(check bool)
-                (ctx ^ ": same status") true
-                (exhausted r = exhausted r');
-              (* the engine canonicalises trigger order, so the recoded
-                 runs are literally identical, nulls included — stronger
-                 than the isomorphism the transformation guarantees *)
-              Alcotest.(check (list atom_testable))
-                (ctx ^ ": recoded instance")
-                (List.sort Atom.compare
-                   (List.map fact_map (Instance.to_list r.Engine.instance)))
-                (sorted_facts r');
-              if Instance.cardinal r.Engine.instance <= 40 then
-                Alcotest.(check bool)
-                  (ctx ^ ": isomorphic instances") true
-                  (hom_equivalent
-                     (Instance.of_list
-                        (List.map fact_map
-                           (Instance.to_list r.Engine.instance)))
-                     r'.Engine.instance))
-            variants))
+      let config = { cfg with matcher = m } in
+      List.iter
+        (fun variant ->
+          let ctx =
+            Fmt.str "%s %a %s" name Variant.pp variant
+              (match m with Hom.Planned -> "planned" | Hom.Naive -> "naive")
+          in
+          let r = crit_run ~config ~variant ~budget:800 rules in
+          let r' = crit_run ~config ~variant ~budget:800 rules' in
+          Alcotest.(check int)
+            (ctx ^ ": triggers applied") r.Engine.triggers_applied
+            r'.Engine.triggers_applied;
+          Alcotest.(check int)
+            (ctx ^ ": triggers skipped") r.Engine.triggers_skipped
+            r'.Engine.triggers_skipped;
+          Alcotest.(check bool)
+            (ctx ^ ": same status") true
+            (exhausted r = exhausted r');
+          (* the engine canonicalises trigger order, so the recoded
+             runs are literally identical, nulls included — stronger
+             than the isomorphism the transformation guarantees *)
+          Alcotest.(check (list atom_testable))
+            (ctx ^ ": recoded instance")
+            (List.sort Atom.compare
+               (List.map fact_map (Instance.to_list r.Engine.instance)))
+            (sorted_facts r');
+          if Instance.cardinal r.Engine.instance <= 40 then
+            Alcotest.(check bool)
+              (ctx ^ ": isomorphic instances") true
+              (hom_equivalent
+                 (Instance.of_list
+                    (List.map fact_map (Instance.to_list r.Engine.instance)))
+                 r'.Engine.instance))
+        variants)
     [ Hom.Naive; Hom.Planned ]
 
 let check_verdicts name transform rules =
   let rules' = transform rules in
   List.iter
     (fun m ->
-      with_matcher m (fun () ->
-          List.iter
-            (fun variant ->
-              let verdict rs =
-                Verdict.answer_to_string
-                  (Verdict.answer
-                     (Decide.check ~standard:false ~budget:1_500 ~variant rs))
-              in
-              Alcotest.(check string)
-                (Fmt.str "%s: %a verdict" name Variant.pp variant)
-                (verdict rules) (verdict rules'))
-            [ Variant.Oblivious; Variant.Semi_oblivious ]))
+      let config = { cfg with matcher = m } in
+      List.iter
+        (fun variant ->
+          let verdict rs =
+            Verdict.answer_to_string
+              (Verdict.answer
+                 (Decide.check ~config ~standard:false ~budget:1_500 ~variant
+                    rs))
+          in
+          Alcotest.(check string)
+            (Fmt.str "%s: %a verdict" name Variant.pp variant)
+            (verdict rules) (verdict rules'))
+        [ Variant.Oblivious; Variant.Semi_oblivious ])
     [ Hom.Naive; Hom.Planned ]
 
 (* ------------------------------------------------------------------ *)
@@ -161,6 +156,53 @@ let var_renaming_verdicts =
   on_corpus (fun name rules ->
       check_verdicts (name ^ "/rename-vars") rename_vars rules)
 
+(* ------------------------------------------------------------------ *)
+(* Trigger-dedup hashing is renaming-invariant                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The oblivious chase of a six-atom star whose last two variables range
+   over k constants each: k² distinct dedup keys that agree on their
+   first four bindings.  A hash that stops after a few words puts all
+   keys sharing the fixed bindings into a handful of buckets — and which
+   bindings are "first" depends only on how the variables are named.
+   Both namings must keep the longest collision chain short. *)
+let dedup_chain_renaming_invariant () =
+  let k = 100 in
+  let db =
+    parse_facts "a(h). b(s). c(t). d(u)."
+    @ List.concat
+        (List.init k (fun i ->
+             [ fact (Fmt.str "e(e%d)" i); fact (Fmt.str "f(f%d)" i) ]))
+  in
+  let max_chain rule =
+    let obs = Obs.create [] in
+    let r =
+      Engine.run
+        ~config:
+          {
+            cfg with
+            variant = Variant.Oblivious;
+            limits = Limits.of_budget (2 * k * k);
+          }
+        ~obs (parse rule) db
+    in
+    Alcotest.(check int) (rule ^ ": triggers") (k * k) r.Engine.triggers_applied;
+    match Metrics.gauge_value (Obs.metrics obs) "chase.dedup.max_chain" with
+    | Some g -> int_of_float g
+    | None -> Alcotest.fail "chase.dedup.max_chain gauge missing"
+  in
+  List.iter
+    (fun rule ->
+      let chain = max_chain rule in
+      if chain > 16 then
+        Alcotest.failf "%s: longest dedup chain %d > 16" rule chain)
+    [
+      (* the varying variables sort last … *)
+      "a(A), b(B), c(C), d(D), e(Y), f(Z) -> out(A, B, C, D, Y, Z).";
+      (* … and first *)
+      "a(W), b(X), c(Y), d(Z), e(A), f(B) -> out(W, X, Y, Z, A, B).";
+    ]
+
 let suite =
   [
     Alcotest.test_case "predicate renaming preserves runs" `Quick
@@ -175,4 +217,6 @@ let suite =
       body_reordering_verdicts;
     Alcotest.test_case "variable renaming preserves verdicts" `Slow
       var_renaming_verdicts;
+    Alcotest.test_case "dedup chains short under variable renaming" `Quick
+      dedup_chain_renaming_invariant;
   ]

@@ -17,9 +17,9 @@ open Test_util
 
 let tower = lazy (Families.guarded_tower ~levels:5)
 
-let observed_chase ~obs rules db =
+let observed_chase ?(config = cfg) ~obs rules db =
   let config =
-    { Engine.variant = Variant.Semi_oblivious; limits = Limits.of_budget 10_000 }
+    { config with variant = Variant.Semi_oblivious; limits = Limits.of_budget 10_000 }
   in
   Engine.run ~config ~obs rules db
 
@@ -233,18 +233,12 @@ let quantile_bound_fuzz =
 (* Counter determinism: planned vs naive                               *)
 (* ------------------------------------------------------------------ *)
 
-let with_matcher m f =
-  let saved = Hom.matcher () in
-  Hom.set_matcher m;
-  Fun.protect ~finally:(fun () -> Hom.set_matcher saved) f
-
 let observed_counters matcher rules db =
-  with_matcher matcher (fun () ->
-      let metrics = Metrics.create () in
-      let obs = Obs.create ~metrics [ Sink.null ] in
-      let result = observed_chase ~obs rules db in
-      Obs.finish obs;
-      (result, metrics))
+  let metrics = Metrics.create () in
+  let obs = Obs.create ~metrics [ Sink.null ] in
+  let result = observed_chase ~config:{ cfg with matcher } ~obs rules db in
+  Obs.finish obs;
+  (result, metrics)
 
 let test_counter_determinism () =
   for seed = 0 to 14 do

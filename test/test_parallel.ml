@@ -76,12 +76,26 @@ let domain_selection_validates () =
     (Result.is_error (Parallel.parse_domains "-3"));
   Alcotest.(check bool) "parse junk rejected" true
     (Result.is_error (Parallel.parse_domains "many"));
-  Alcotest.check_raises "set_domains 0"
-    (Invalid_argument "Parallel.set_domains: domains must be >= 1") (fun () ->
-      Parallel.set_domains 0);
-  Alcotest.check_raises "Engine.run ~domains:0"
+  Alcotest.check_raises "Engine.run with domains = 0"
     (Invalid_argument "Engine.run: domains must be >= 1") (fun () ->
-      ignore (Engine.run ~domains:0 (parse "p(X) -> q(X).") []))
+      ignore
+        (Engine.run ~config:{ cfg with domains = 0 } (parse "p(X) -> q(X).") []));
+  (* the environment spelling is lenient: malformed means 1 *)
+  let env pairs k = List.assoc_opt k pairs in
+  let domains_of v = (Run_env.parse (env [ ("CHASE_DOMAINS", v) ])).domains in
+  Alcotest.(check int) "CHASE_DOMAINS=3" 3 (domains_of "3");
+  Alcotest.(check int) "CHASE_DOMAINS=0 means 1" 1 (domains_of "0");
+  Alcotest.(check int) "CHASE_DOMAINS=many means 1" 1 (domains_of "many");
+  let unset = Run_env.parse (env []) in
+  Alcotest.(check bool) "unset: planned, 1 domain, pruning on" true
+    ((not unset.naive) && unset.domains = 1 && unset.prune);
+  let set =
+    Run_env.parse (env [ ("CHASE_NAIVE", "yes"); ("CHASE_NO_PRUNE", "on") ])
+  in
+  Alcotest.(check bool) "CHASE_NAIVE=yes, CHASE_NO_PRUNE=on" true
+    (set.naive && not set.prune);
+  Alcotest.(check bool) "CHASE_NAIVE=2 is not a flag" false
+    (Run_env.parse (env [ ("CHASE_NAIVE", "2") ])).naive
 
 (* ------------------------------------------------------------------ *)
 (* Determinism under stress                                            *)
@@ -100,7 +114,8 @@ let trace ?domains ?limits ~variant ~budget rules db =
     match limits with Some l -> l | None -> Limits.of_budget budget
   in
   let r =
-    Engine.run ~config:{ Engine.variant; limits } ?domains ~on_trigger rules db
+    let domains = Option.value domains ~default:cfg.domains in
+    Engine.run ~config:{ cfg with variant; limits; domains } ~on_trigger rules db
   in
   (r, List.rev !log)
 
@@ -178,6 +193,42 @@ let determinism_under_injected_delays () =
       [ (0, 0.001); (1, 0.001); (2, 0.001); (3, 0.001) ];
     ]
 
+(* The run configuration is a value, not process state: two runs with
+   different configurations — the naive matcher sequentially and the
+   planned one on a 2-domain pool — running at the same time on two
+   domains must each reproduce its own sequential run exactly. *)
+let concurrent_runs_keep_their_configs () =
+  let rules = parse "e(X, Y) -> e(Y, Z).  e(X, Y), e(Y, Z) -> e(X, Z)." in
+  let db = Instance.to_list (Critical.of_rules ~standard:false rules) in
+  let run config () =
+    let log = ref [] in
+    let on_trigger ~step ~rule_index ~depth ~created_nulls _rule sub added =
+      log :=
+        (step, rule_index, depth, created_nulls, Subst.to_list sub, added)
+        :: !log
+    in
+    let r =
+      Engine.run
+        ~config:
+          {
+            config with
+            variant = Variant.Oblivious;
+            limits = Limits.of_budget 300;
+          }
+        ~on_trigger rules db
+    in
+    (r, List.rev !log)
+  in
+  let naive1 = { cfg with matcher = Hom.Naive; domains = 1 }
+  and planned2 = { cfg with matcher = Hom.Planned; domains = 2 } in
+  let rn, logn = run naive1 () and rp, logp = run planned2 () in
+  for round = 1 to 3 do
+    let a = Domain.spawn (run naive1) and b = Domain.spawn (run planned2) in
+    let rn', logn' = Domain.join a and rp', logp' = Domain.join b in
+    check_same_run (Fmt.str "round %d: naive@1" round) rn logn rn' logn';
+    check_same_run (Fmt.str "round %d: planned@2" round) rp logp rp' logp'
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Journal byte-identity and cross-domain-count resume                 *)
 (* ------------------------------------------------------------------ *)
@@ -207,12 +258,16 @@ let run_journaled ?domains path rules db =
       ~snapshot:(Session.snapshot_path path)
       ~variant:Variant.Oblivious ~rules ~db ()
   in
+  let config =
+    {
+      cfg with
+      variant = Variant.Oblivious;
+      limits = Limits.of_budget 500;
+      domains = Option.value domains ~default:cfg.domains;
+    }
+  in
   let r =
-    Engine.run
-      ~config:{ Engine.variant = Variant.Oblivious; limits = Limits.of_budget 500 }
-      ?domains
-      ~on_trigger:(Session.on_trigger session)
-      rules db
+    Engine.run ~config ~on_trigger:(Session.on_trigger session) rules db
   in
   Session.finish session;
   r
@@ -245,10 +300,13 @@ let journal_bytes_identical () =
         let resumed =
           Engine.run
             ~config:
-              { Engine.variant = Variant.Oblivious;
+              {
+                cfg with
+                variant = Variant.Oblivious;
                 limits = Limits.of_budget 500;
+                domains = 1;
               }
-            ~domains:1 ~resume:report.Recovery.resume rules db
+            ~resume:report.Recovery.resume rules db
         in
         Alcotest.(check (list atom_testable))
           "resumed instance = original"
@@ -270,7 +328,7 @@ let exhaustion_leaves_no_domains () =
         Faults.arm plan
           (Limits.make ~max_triggers:100_000 ~timeout:60. ~cancel:(Limits.Cancel.create ()) ())
       in
-      let r = chase ~limits ~domains:4 rules db in
+      let r = chase ~config:{ cfg with domains = 4 } ~limits rules db in
       Alcotest.(check bool)
         (Fmt.str "%a: structured exhaustion" Faults.pp_injection injection)
         true (exhausted r);
@@ -295,7 +353,7 @@ let stats_totals_agree () =
   let measure domains =
     let h0 = Hom.Stats.snapshot () in
     let p0 = Plan.Stats.snapshot () in
-    ignore (chase ~budget:400 ~domains rules db);
+    ignore (chase ~config:{ cfg with domains } ~budget:400 rules db);
     (Hom.Stats.diff h0 (Hom.Stats.snapshot ()),
      Plan.Stats.diff p0 (Plan.Stats.snapshot ()))
   in
@@ -332,8 +390,13 @@ let per_rule_probes_agree () =
     ignore
       (Engine.run
          ~config:
-           { Engine.variant = Variant.Oblivious; limits = Limits.of_budget 300 }
-         ~obs ~domains rules db);
+           {
+             cfg with
+             variant = Variant.Oblivious;
+             limits = Limits.of_budget 300;
+             domains;
+           }
+         ~obs rules db);
     let m = Obs.metrics obs in
     List.map
       (fun label -> (label, Metrics.counter_value m ~label "chase.rule.probes"))
@@ -360,8 +423,14 @@ let parallel_metrics_present () =
   let obs = Obs.create [] in
   ignore
     (Engine.run
-       ~config:{ Engine.variant = Variant.Oblivious; limits = Limits.of_budget 120 }
-       ~obs ~domains:3 rules db);
+       ~config:
+         {
+           cfg with
+           variant = Variant.Oblivious;
+           limits = Limits.of_budget 120;
+           domains = 3;
+         }
+       ~obs rules db);
   let m = Obs.metrics obs in
   let total name =
     List.fold_left
@@ -391,6 +460,8 @@ let suite =
       domain_selection_validates;
     Alcotest.test_case "determinism: randomized domain counts (guarded)" `Slow
       determinism_random_domains;
+    Alcotest.test_case "config: concurrent runs keep their configs" `Quick
+      concurrent_runs_keep_their_configs;
     Alcotest.test_case "determinism: injected per-domain delays" `Quick
       determinism_under_injected_delays;
     Alcotest.test_case "journal: bytes identical @4 vs @1, cross-resume" `Quick

@@ -18,7 +18,7 @@ let rules () =
 let db () =
   List.init 9 (fun i -> fact (Fmt.str "e(a%d, a%d)" i (i + 1)))
 
-let config variant = { Engine.variant; limits = Limits.of_budget 10_000 }
+let config variant = { Engine.default_config with variant; limits = Limits.of_budget 10_000 }
 
 let tmp_journal =
   let n = ref 0 in

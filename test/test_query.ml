@@ -56,7 +56,7 @@ let test_containment_under_tgds () =
   let chase_fn ~budget rules db =
     let config =
       {
-        Engine.variant = Variant.Semi_oblivious;
+        Engine.default_config with variant = Variant.Semi_oblivious;
         limits = Limits.of_budget budget;
       }
     in
@@ -81,7 +81,7 @@ let test_containment_budget () =
   let chase_fn ~budget rules db =
     let config =
       {
-        Engine.variant = Variant.Semi_oblivious;
+        Engine.default_config with variant = Variant.Semi_oblivious;
         limits = Limits.of_budget budget;
       }
     in

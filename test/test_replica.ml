@@ -432,6 +432,148 @@ let test_streaming_progress () =
   Server.wait server
 
 (* ------------------------------------------------------------------ *)
+(* The promotion window, forced.                                       *)
+
+(* A standby stub connection that has acknowledged [promote] parks at
+   the ["standby.promote-ack"] hold point, so the promoting client's
+   re-sent request lands inside the window on every run.  It must never
+   be answered with the standby refusal: once the ack is out, the
+   failover client treats the socket as a primary-to-be. *)
+let test_promote_window () =
+  let socket = tmp ".b.sock" and ship = tmp ".ship.sock" in
+  let standby =
+    Standby.start
+      (Standby.config
+         ~server:(Server.config ~workers:2 ~spool_dir:(tmp ".s.spool") socket)
+         ~ship_socket:ship ())
+  in
+  let exp =
+    expect Proto.Chase ~program:path_program ~budget:1_000 ~quiet:false
+      ~durable:false
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Faults.Hold.reset ();
+      Standby.stop standby)
+    (fun () ->
+      Faults.Hold.arm "standby.promote-ack";
+      (match Client.connect ~socket () with
+      | Error msg -> Alcotest.failf "connect: %s" msg
+      | Ok c ->
+        let r = Client.call c (Proto.request ~id:"promote" Proto.Promote) in
+        Client.close c;
+        (match r with
+        | Ok (Proto.Ok_response r) ->
+          Alcotest.(check string) "promote acknowledged" "promoted\n"
+            r.Proto.stdout
+        | Ok resp -> Alcotest.failf "promote: %a" Proto.pp_response resp
+        | Error msg -> Alcotest.failf "promote: %s" msg));
+      Alcotest.(check bool)
+        "stub parked between ack and promotion" true
+        (Faults.Hold.await "standby.promote-ack");
+      (match Client.call_retry ~attempts:1 ~socket exp.req with
+      | Error (Client.Rejected resp) ->
+        Alcotest.failf "request refused inside the promote window: %a"
+          Proto.pp_response resp
+      | Ok resp ->
+        Alcotest.failf "stub served a request: %a" Proto.pp_response resp
+      | Error (Client.Gave_up _) -> ());
+      Faults.Hold.release "standby.promote-ack";
+      match Failover.call ~attempts_per_server:10 ~servers:[ socket ] exp.req with
+      | Ok o ->
+        (match o.Failover.response with
+        | Proto.Ok_response r -> check_parity "after promotion" exp r
+        | resp -> Alcotest.failf "unexpected: %a" Proto.pp_response resp);
+        Alcotest.(check bool) "standby promoted" true (Standby.is_promoted standby)
+      | Error f -> Alcotest.failf "failover: %a" Failover.pp_failure f)
+
+(* The client half: a standby refusal that still arrives after the
+   promote was acknowledged is retried within the attempt budget, not
+   reported as a definitive rejection.  A scripted server answers the
+   request with the refusal twice around an acknowledged promote, then
+   serves it. *)
+let test_refusal_after_promote_retried () =
+  let socket = tmp ".fake.sock" in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX socket);
+  Unix.listen listener 8;
+  let refusal =
+    Proto.Server_error "standby: not serving requests (promote first)"
+  in
+  let served =
+    Proto.Ok_response
+      { Proto.exit_code = 0; stdout = "served\n"; stderr = ""; cached = false }
+  in
+  let script = ref [ refusal; refusal; served ] in
+  let serve () =
+    let rec loop () =
+      match Unix.accept listener with
+      | exception Unix.Unix_error _ -> ()
+      | fd, _ ->
+        (match Proto.read_frame fd with
+        | `Frame payload -> (
+          match Proto.decode_request payload with
+          | Ok req ->
+            let resp =
+              match req.Proto.op with
+              | Proto.Promote ->
+                Proto.Ok_response
+                  {
+                    Proto.exit_code = 0;
+                    stdout = "promoted\n";
+                    stderr = "";
+                    cached = false;
+                  }
+              | _ -> (
+                match !script with
+                | r :: rest ->
+                  script := rest;
+                  r
+                | [] -> served)
+            in
+            Proto.write_frame fd (Proto.encode_response ~id:req.Proto.id resp)
+          | Error _ -> ())
+        | `Closed | `Bad _ -> ());
+        Unix.close fd;
+        if !script <> [] then loop ()
+    in
+    loop ()
+  in
+  let th = Thread.create serve () in
+  Fun.protect
+    ~finally:(fun () ->
+      (* end the script and wake the accept loop, whatever happened *)
+      script := [];
+      (try
+         let poke = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+         (try Unix.connect poke (Unix.ADDR_UNIX socket)
+          with Unix.Unix_error _ -> ());
+         Unix.close poke
+       with Unix.Unix_error _ -> ());
+      Thread.join th;
+      Unix.close listener;
+      try Unix.unlink socket with Unix.Unix_error _ -> ())
+    (fun () ->
+      let events = ref [] in
+      match
+        Failover.call ~base_delay:0.001 ~attempts_per_server:3
+          ~on_event:(fun e -> events := e :: !events)
+          ~servers:[ socket ]
+          (Proto.request ~id:"r" ~program:path_program Proto.Chase)
+      with
+      | Ok o ->
+        Alcotest.(check bool) "promoted by this call" true o.Failover.promoted;
+        Alcotest.(check bool)
+          "the post-promote refusal was retried" true
+          (List.exists
+             (fun e ->
+               let suffix = "still refusing after promote" in
+               let n = String.length e and m = String.length suffix in
+               n >= m && String.sub e (n - m) m = suffix)
+             !events)
+      | Error f -> Alcotest.failf "failover: %a" Failover.pp_failure f)
+
+(* ------------------------------------------------------------------ *)
 (* The replicated failover soak.                                       *)
 
 let kill_cycles = 11
@@ -659,4 +801,7 @@ let suite =
     Alcotest.test_case "shipper-chaos-resync" `Quick test_shipper_chaos_resync;
     Alcotest.test_case "streaming-progress" `Slow test_streaming_progress;
     Alcotest.test_case "failover-soak" `Slow test_failover_soak;
+    Alcotest.test_case "promote-window" `Quick test_promote_window;
+    Alcotest.test_case "refusal-after-promote-retried" `Quick
+      test_refusal_after_promote_retried;
   ]

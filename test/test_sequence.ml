@@ -33,7 +33,7 @@ let test_clauses_on_named_runs () =
           let seq, _ =
             Sequence.record
               ~config:
-                { Engine.variant; limits = Limits.make ~max_triggers:300 ~max_atoms:2_000 () }
+                { Engine.default_config with variant; limits = Limits.make ~max_triggers:300 ~max_atoms:2_000 () }
               ~variant rules db
           in
           Alcotest.(check bool)
@@ -68,7 +68,7 @@ let no_repeat_prop =
       let seq, _ =
         Sequence.record
           ~config:
-            { Engine.variant;
+            { Engine.default_config with variant;
               limits = Limits.make ~max_triggers:500 ~max_atoms:4_000 () }
           ~variant rules db
       in

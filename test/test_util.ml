@@ -14,22 +14,26 @@ let pattern_testable = Alcotest.testable Pattern.pp Pattern.equal
 let check_atom = Alcotest.check atom_testable
 let check_term = Alcotest.check term_testable
 
+(** The default run configuration, for [{ cfg with … }] variations
+    (matcher, domains, pruning). *)
+let cfg = Engine.default_config
+
 (** Chase the critical instance with a budget; true iff it terminated. *)
 let crit_chase_terminates ?(standard = false) ?(budget = 10_000) variant rules =
   let crit = Critical.of_rules ~standard rules in
-  let config = { Engine.variant; limits = Limits.of_budget budget } in
+  let config = { cfg with variant; limits = Limits.of_budget budget } in
   let result = Engine.run ~config rules (Instance.to_list crit) in
   result.Engine.status = Engine.Terminated
 
-(** Run the chase on an explicit database; [limits] overrides the
-    budget-derived defaults, [domains] selects the multicore matching
-    plane. *)
-let chase ?(variant = Variant.Oblivious) ?(budget = 10_000) ?limits ?domains
-    rules db =
+(** Run the chase on an explicit database under [config] (default
+    {!cfg}) with [variant] and limits set; [limits] overrides the
+    budget-derived defaults. *)
+let chase ?(config = cfg) ?(variant = Variant.Oblivious) ?(budget = 10_000)
+    ?limits rules db =
   let limits =
     match limits with Some l -> l | None -> Limits.of_budget budget
   in
-  Engine.run ~config:{ Engine.variant; limits } ?domains rules db
+  Engine.run ~config:{ config with variant; limits } rules db
 
 (** True iff the run stopped on a breached limit. *)
 let exhausted (result : Engine.result) = Engine.exhausted result
